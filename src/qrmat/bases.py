@@ -16,6 +16,7 @@ plus the residue-edge conditions before a GlobalBasis is returned.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
@@ -28,15 +29,6 @@ from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
 
 ResidueT = Tuple[Fraction, ...]
 WeightT = Tuple[int, ...]
-
-
-def _deg_inf(x: FieldElement) -> Optional[Fraction]:
-    """Degree of x at q = infinity; None for zero.
-
-    Canonical denominators tend to 1 at infinity, so the numerator's top
-    exponent is the growth rate of the whole quotient.
-    """
-    return x.num.degree()
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +49,8 @@ def _echelon_lattice_basis(vecs: Sequence[Vec]) -> List[Vec]:
         best = None  # (degree, work position, row)
         for pos, v in enumerate(work):
             for row in sorted(v):
-                d = _deg_inf(v[row])
+                # degree at q = infinity: canonical denominators tend to 1
+                d = v[row].num.degree()
                 if best is None or d > best[0]:
                     best = (d, pos, row)
         _, pos, prow = best
@@ -489,14 +482,10 @@ def symmetric_completion(f: FieldElement) -> FieldElement:
     """
     if not f.is_laurent():
         raise ValueError("symmetric completion wants a Laurent polynomial")
-    terms = []
-    for e, c in f.num.terms:
-        if e > 0:
-            terms.append((e, c))
-            terms.append((-e, c))
-        elif e == 0:
-            terms.append((e, c))
-    return FieldElement(QLaurent(terms))
+    p = f.num
+    top = tuple((e, c) for e, c in p.pairs if e >= 0)
+    low = tuple((-e, c) for e, c in reversed(top) if e > 0)
+    return FieldElement(QLaurent.from_pairs(p.s, p.k, low + top))
 
 
 class GlobalBasis:
@@ -619,14 +608,15 @@ def _triangular_solve(m: Module, crystal: CrystalGraph, v: int,
             f"no integral generators at weight {wt}")
     gcoords = frame.coords_many(gens)
 
-    spread = Fraction(0)
+    spread = 0  # integer part of the largest exponent size
     for row in gcoords:
         for x in row:
             if x.is_zero():
                 continue
-            spread = max(spread, abs(x.num.degree()), abs(x.num.valuation()),
-                         abs(x.den.valuation()))
-    window = int(spread) + 2
+            n, d = x.num, x.den
+            spread = max(spread, abs(n.pairs[-1][0]) // n.s,
+                         abs(n.pairs[0][0]) // n.s, abs(d.pairs[0][0]) // d.s)
+    window = spread + 2
 
     for _ in range(4):
         sol = _window_solve(gens, gcoords, frame, want, window)
@@ -659,24 +649,30 @@ def _window_solve(gens: List[Vec], gcoords: List[List[FieldElement]],
                 raise InternalConsistencyError(
                     "common denominator failed to clear a frame coordinate")
             numers.append(prod.num)
-        dtop = den.num.degree()
+        # exponents as integers in units of 1/S; coefficient c of numers[w]
+        # stands for c / numers[w].k
+        dnum = den.num
+        S = lcm(dnum.s, *(nm.s for nm in numers))
+        dtop = dnum.pairs[-1][0] * (S // dnum.s)
+        coeffs = [{e * (S // nm.s): c for e, c in nm.pairs} for nm in numers]
         # coefficient of q^e in sum_w z_w * numers[w], for e above the
         # regularity threshold, as a linear form in the window unknowns
         exps = {dtop}
-        for w, nm in enumerate(numers):
-            for e, _ in nm.terms:
+        for cw in coeffs:
+            for e in cw:
                 for n in range(window + 1):
-                    for s in ((n, -n) if n else (0,)):
+                    for s in ((n * S, -n * S) if n else (0,)):
                         if e + s >= dtop:
                             exps.add(e + s)
         for e in sorted(exps, reverse=True):
             row: Vec = {}
-            for w, nm in enumerate(numers):
+            for w, cw in enumerate(coeffs):
                 for n in range(window + 1):
-                    c = nm.coeff(e - n) + (nm.coeff(e + n) if n else Fraction(0))
+                    c = cw.get(e - n * S, 0) + (cw.get(e + n * S, 0) if n else 0)
                     if c:
                         u = unk(w, n)
-                        row[u] = row.get(u, ZERO) + FieldElement.from_fraction(c)
+                        row[u] = row.get(u, ZERO) + FieldElement.from_fraction(
+                            Fraction(c, numers[w].k))
             row = v_clean(row)
             if e > dtop:
                 if row:
@@ -685,7 +681,7 @@ def _window_solve(gens: List[Vec], gcoords: List[List[FieldElement]],
             else:  # e == dtop: the residue row
                 rows.append(row)
                 rhs.append(FieldElement.from_fraction(
-                    want[t] * den.num.coeff(dtop)))
+                    want[t] * Fraction(dnum.pairs[-1][1], dnum.k)))
 
     mat = SparseMatrix.from_triplets(
         len(rows), nunk,

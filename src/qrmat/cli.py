@@ -135,7 +135,11 @@ def cmd_compute(args) -> int:
         obj["agree"] = all(mat == mats[0] for mat in mats[1:])
     else:
         obj = r_matrix(bl, br, args.method).to_json_obj()
-    return _emit(_canon(obj), args.out, args.golden)
+    code = _emit(_canon(obj), args.out, args.golden)
+    if obj.get("agree") is False:
+        print("R-matrix routes disagree", file=sys.stderr)
+        return 1
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -227,7 +227,7 @@ def _to_dense(a: SparseMatrix) -> List[List[FieldElement]]:
 
 def _entry_cost(x: FieldElement) -> int:
     # pivot preference: fewer terms means less fill-in and smaller GCDs
-    return len(x.num.terms) + 2 * (len(x.den.terms) - 1)
+    return len(x.num.pairs) + 2 * (len(x.den.pairs) - 1)
 
 
 def _rref(dense: List[List[FieldElement]], ncols: int) -> List[int]:

@@ -1,18 +1,18 @@
 """Exact scalar arithmetic in Q(q^(1/D)).
 
-Three layers, all immutable and exact:
+  QLaurent     -- Laurent polynomial sum (c/k) q^(e/s) held in integers: the
+                  exponent scale s, the coefficient denominator k and `pairs`,
+                  the (e, c) strictly ascending in e with every c nonzero, in
+                  normal form gcd(s, all e) = gcd(k, all c) = 1 (s = k = 1 for
+                  constants). Arithmetic never builds a Fraction; `terms`,
+                  `degree()`, `coeff()` and the like are Fraction views.
+  FieldElement -- quotient num/den of two QLaurent in canonical form: they
+                  share no polynomial or monomial factor, and the top term of
+                  den is exactly 1*q^0 (den is 1 plus negative powers).
 
-  Fraction     -- rational coefficients and rational exponents (stdlib).
-  QLaurent     -- Laurent polynomial in q: finite term list (exponent, coeff),
-                  sorted ascending by exponent, no zero coefficients.
-  FieldElement -- quotient num/den of two QLaurent in canonical form.
-
-Canonical form of a quotient: the numerator and denominator share no
-polynomial or monomial factor, and the denominator's highest-exponent term is
-exactly 1*q^0 (so the denominator is 1 plus terms of negative exponent). This
-representative is unique, so equality and hashing are structural, emitted JSON
-is byte-stable, and the denominator never vanishes at q = infinity, which
-makes regularity at infinity a one-line test on the numerator.
+Both forms are unique, so equality and hashing are structural, emitted JSON is
+byte-stable, and the denominator never vanishes at q = infinity, which makes
+regularity at infinity a one-line test on the numerator.
 
 The bar involution q -> q^(-1) is exponent negation followed by
 re-canonicalization; it is an exact field automorphism.
@@ -22,20 +22,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
+Pairs = Tuple[Tuple[int, int], ...]
 
 
 class AmbientMismatchError(ValueError):
     """Arithmetic combined scalars tagged with different root orders D."""
 
 
-def _frac(x: Rat) -> Fraction:
-    if isinstance(x, Fraction):
+def _rat(x: Rat) -> Rat:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
@@ -46,21 +45,24 @@ def _frac(x: Rat) -> Fraction:
 class QLaurent:
     """Laurent polynomial sum_e c_e q^e with rational exponents and coefficients.
 
-    terms is a tuple of (exponent, coefficient) pairs, strictly ascending in
-    exponent, with every coefficient nonzero.
+    Built from (exponent, coefficient) pairs of ints or Fractions, summing
+    repeated exponents; held in the integer normal form of the module doc.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("s", "k", "pairs")
 
-    def __init__(self, terms: Union[Mapping[Rat, Rat], Iterable[Tuple[Rat, Rat]], None] = None):
+    def __new__(cls, terms: Union[Mapping[Rat, Rat], Iterable[Tuple[Rat, Rat]], None] = None):
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         acc: dict = {}
         for e, c in items:
-            e = _frac(e)
-            c = _frac(c)
+            e, c = _rat(e), _rat(c)
             if c:
-                acc[e] = acc.get(e, Fraction(0)) + c
-        object.__setattr__(self, "terms", tuple(sorted((e, c) for e, c in acc.items() if c)))
+                acc[e] = acc.get(e, 0) + c
+        s = lcm(*(e.denominator for e in acc))
+        k = lcm(*(c.denominator for c in acc.values()))
+        return _make(s, k, tuple(sorted(
+            (e.numerator * (s // e.denominator), c.numerator * (k // c.denominator))
+            for e, c in acc.items() if c)))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("QLaurent is immutable")
@@ -77,62 +79,70 @@ class QLaurent:
 
     @staticmethod
     def const(c: Rat) -> "QLaurent":
-        return QLaurent(((Fraction(0), _frac(c)),))
+        return QLaurent.q_power(0, c)
 
     @staticmethod
     def q_power(e: Rat, c: Rat = 1) -> "QLaurent":
-        return QLaurent(((_frac(e), _frac(c)),))
+        e, c = _rat(e), _rat(c)
+        if not c:
+            return _L_ZERO
+        return _raw(e.denominator, c.denominator, ((e.numerator, c.numerator),))
+
+    @staticmethod
+    def from_pairs(s: int, k: int, pairs: Iterable[Tuple[int, int]]) -> "QLaurent":
+        """sum (c/k) q^(e/s) over int pairs ascending in e with c nonzero."""
+        return _make(s, k, tuple(pairs))
 
     # -- predicates and views ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.pairs
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.pairs)
+
+    @property
+    def terms(self) -> Tuple[Tuple[Fraction, Fraction], ...]:
+        """(exponent, coefficient) Fraction pairs, ascending in exponent."""
+        return tuple((Fraction(e, self.s), Fraction(c, self.k)) for e, c in self.pairs)
 
     def degree(self) -> Optional[Fraction]:
         """Top exponent, or None for the zero polynomial."""
-        return self.terms[-1][0] if self.terms else None
+        return Fraction(self.pairs[-1][0], self.s) if self.pairs else None
 
     def valuation(self) -> Optional[Fraction]:
         """Bottom exponent, or None for the zero polynomial."""
-        return self.terms[0][0] if self.terms else None
+        return Fraction(self.pairs[0][0], self.s) if self.pairs else None
 
     def coeff(self, e: Rat) -> Fraction:
-        e = _frac(e)
-        for ee, cc in self.terms:
-            if ee == e:
-                return cc
-        return Fraction(0)
+        e = _rat(e) * self.s
+        return next((Fraction(c, self.k) for ee, c in self.pairs if ee == e), Fraction(0))
 
     def exponent_denominator(self) -> int:
         """lcm of the denominators of all exponents (1 for the zero poly)."""
-        out = 1
-        for e, _ in self.terms:
-            out = lcm(out, e.denominator)
-        return out
+        return self.s
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
             return NotImplemented
-        if not self.terms:
+        if not self.pairs:
             return other
-        if not other.terms:
+        if not other.pairs:
             return self
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            s = acc.get(e, Fraction(0)) + c
-            if s:
-                acc[e] = s
+        s, k = lcm(self.s, other.s), lcm(self.k, other.k)
+        acc = dict(_stretch(self, s, k))
+        for e, c in _stretch(other, s, k):
+            t = acc.get(e, 0) + c
+            if t:
+                acc[e] = t
             else:
-                acc.pop(e, None)
-        return _laurent_from_clean(acc)
+                del acc[e]
+        return _make(s, k, tuple(sorted(acc.items())))
 
     def __neg__(self) -> "QLaurent":
-        return _laurent_from_sorted(tuple((e, -c) for e, c in self.terms))
+        return _raw(self.s, self.k, tuple((e, -c) for e, c in self.pairs))
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
@@ -142,38 +152,34 @@ class QLaurent:
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self.pairs or not other.pairs:
             return _L_ZERO
-        if len(self.terms) == 1:
-            (e, c), = self.terms
-            return other.scale(c, e)
-        if len(other.terms) == 1:
-            (e, c), = other.terms
-            return self.scale(c, e)
+        s = lcm(self.s, other.s)
+        a, b = _stretch(self, s, self.k), _stretch(other, s, other.k)
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            (e0, c0), = a
+            return _make(s, self.k * other.k, tuple((e + e0, c * c0) for e, c in b))
         acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
-                s = acc.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    acc[e] = s
+                t = acc.get(e, 0) + c1 * c2
+                if t:
+                    acc[e] = t
                 else:
-                    acc.pop(e, None)
-        return _laurent_from_clean(acc)
+                    del acc[e]
+        return _make(s, self.k * other.k, tuple(sorted(acc.items())))
 
     def scale(self, c: Rat, e: Rat = 0) -> "QLaurent":
         """Multiply by the monomial c*q^e."""
-        c = _frac(c)
-        if not c:
-            return _L_ZERO
-        e = _frac(e)
-        return _laurent_from_sorted(tuple((ee + e, cc * c) for ee, cc in self.terms))
+        return self * QLaurent.q_power(e, c)
 
     def __pow__(self, n: int) -> "QLaurent":
         if not isinstance(n, int) or n < 0:
             raise ValueError("QLaurent power wants a nonnegative integer")
-        out = _L_ONE
-        base = self
+        out, base = _L_ONE, self
         while n:
             if n & 1:
                 out = out * base
@@ -183,36 +189,69 @@ class QLaurent:
 
     def bar(self) -> "QLaurent":
         """The involution q -> q^(-1): negate every exponent."""
-        return _laurent_from_sorted(tuple((-e, c) for e, c in reversed(self.terms)))
+        return _raw(self.s, self.k, tuple((-e, c) for e, c in reversed(self.pairs)))
 
     def subs_q_one(self) -> Fraction:
         """Evaluate at q = 1 (the classical specialization)."""
-        return sum((c for _, c in self.terms), Fraction(0))
+        return Fraction(sum(c for _, c in self.pairs), self.k)
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QLaurent) and self.terms == other.terms
+        return (isinstance(other, QLaurent) and self.pairs == other.pairs
+                and self.s == other.s and self.k == other.k)
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self.s, self.k, self.pairs))
 
     def __repr__(self) -> str:
         return f"QLaurent({_fmt_terms(self.terms) or '0'})"
 
 
-def _laurent_from_sorted(terms: Tuple[Tuple[Fraction, Fraction], ...]) -> QLaurent:
+def _raw(s: int, k: int, pairs: Pairs) -> QLaurent:
+    # caller guarantees the normal form already holds
     out = object.__new__(QLaurent)
-    object.__setattr__(out, "terms", terms)
+    object.__setattr__(out, "s", s)
+    object.__setattr__(out, "k", k)
+    object.__setattr__(out, "pairs", pairs)
     return out
 
 
-def _laurent_from_clean(acc: Mapping[Fraction, Fraction]) -> QLaurent:
-    return _laurent_from_sorted(tuple(sorted(acc.items())))
+def _make(s: int, k: int, pairs: Pairs) -> QLaurent:
+    """QLaurent of ascending pairs with nonzero c, reduced to normal form."""
+    if not pairs:
+        return _L_ZERO
+    if k != 1:
+        g = k
+        for _, c in pairs:
+            g = gcd(g, c)
+            if g == 1:
+                break
+        else:
+            k //= g
+            pairs = tuple((e, c // g) for e, c in pairs)
+    if s != 1:
+        g = s
+        for e, _ in pairs:
+            g = gcd(g, e)
+            if g == 1:
+                break
+        else:
+            s //= g
+            pairs = tuple((e // g, c) for e, c in pairs)
+    return _raw(s, k, pairs)
 
 
-_L_ZERO = _laurent_from_sorted(())
-_L_ONE = _laurent_from_sorted(((Fraction(0), Fraction(1)),))
+def _stretch(p: QLaurent, s: int, k: int) -> Pairs:
+    """p's pairs over the exponent scale s and coefficient denominator k."""
+    ms, mk = s // p.s, k // p.k
+    if ms == mk == 1:
+        return p.pairs
+    return tuple((e * ms, c * mk) for e, c in p.pairs)
+
+
+_L_ZERO = _raw(1, 1, ())
+_L_ONE = _raw(1, 1, ((0, 1),))
 
 
 def _fmt_terms(terms) -> str:
@@ -230,40 +269,19 @@ def _fmt_terms(terms) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate helpers for GCD cancellation
+# Integer polynomial helpers for GCD cancellation
 #
-# A Laurent polynomial with exponent denominators dividing s is q^(v) * P(u)
-# with u = q^(1/s), v its valuation and P an ordinary polynomial over Q with
-# nonzero constant term. GCDs are computed on the dense coefficient lists of
-# such P, ascending degree.
+# A Laurent polynomial with integer exponents e in units of 1/s is
+# q^(v/s) * P(u)/k with u = q^(1/s), v its valuation and P an ordinary
+# polynomial over Z with nonzero constant term. GCDs are computed on the
+# dense coefficient lists of such P, ascending degree.
 # ---------------------------------------------------------------------------
-
-def _dense(p: QLaurent, s: int) -> Tuple[list, Fraction]:
-    """Return (coeffs ascending in u = q^(1/s), valuation of p)."""
-    v = p.valuation()
-    assert v is not None
-    span = (p.degree() - v) * s
-    assert span.denominator == 1
-    out = [Fraction(0)] * (int(span) + 1)
-    for e, c in p.terms:
-        k = (e - v) * s
-        out[int(k)] = c
-    return out, v
-
 
 def _dense_trim(a: list) -> list:
     n = len(a)
     while n and not a[n - 1]:
         n -= 1
     return a[:n]
-
-
-def _int_parts(a: Sequence[Fraction]) -> Tuple[list, Fraction]:
-    """Split a trimmed nonzero Fraction list as content * primitive int list."""
-    scale = lcm(*(c.denominator for c in a)) if len(a) > 1 else a[0].denominator
-    ints = [int(c * scale) for c in a]
-    cont = gcd(*ints) if len(ints) > 1 else abs(ints[0])
-    return [c // cont for c in ints], Fraction(cont, scale)
 
 
 def _int_prem(a: list, b: list) -> list:
@@ -289,7 +307,7 @@ def _int_gcd_primitive(ia: list, ib: list) -> list:
     while ib:
         r = _int_prem(ia, ib)
         if r:
-            cont = gcd(*r) if len(r) > 1 else abs(r[0])
+            cont = gcd(*r)
             r = [c // cont for c in r]
         ia, ib = ib, r
     return [-c for c in ia] if ia[-1] < 0 else list(ia)
@@ -314,19 +332,14 @@ def _int_div_exact(a: list, b: list) -> list:
     return _dense_trim(quot)
 
 
-def _dense_gcd(a: list, b: list) -> list:
-    a, b = _dense_trim(list(a)), _dense_trim(list(b))
-    if not b:
-        a, b = b, a
-    if not b:
-        return []
-    if not a:
-        lc = b[-1]
-        return [c / lc for c in b]
-    # rational scaling never changes the monic gcd, so work over Z
-    g = _int_gcd_primitive(_int_parts(a)[0], _int_parts(b)[0])
-    lc = g[-1]
-    return [Fraction(c, lc) for c in g]
+def _primitive_dense(pairs: Pairs) -> Tuple[list, int, int]:
+    """(primitive dense list from the valuation up, its content, valuation)."""
+    v = pairs[0][0]
+    out = [0] * (pairs[-1][0] - v + 1)
+    for e, c in pairs:
+        out[e - v] = c
+    cont = gcd(*out)
+    return ([c // cont for c in out] if cont != 1 else out), cont, v
 
 
 def laurent_cancel(num: QLaurent, den: QLaurent) -> Tuple[QLaurent, QLaurent]:
@@ -339,26 +352,23 @@ def laurent_cancel(num: QLaurent, den: QLaurent) -> Tuple[QLaurent, QLaurent]:
         raise ZeroDivisionError("zero denominator")
     if num.is_zero():
         return _L_ZERO, _L_ONE
-    s = lcm(num.exponent_denominator(), den.exponent_denominator())
-    a, va = _dense(num, s)
-    b, vb = _dense(den, s)
-    # all polynomial work over Z: num = ca * ia, den = cb * ib with ia, ib
-    # primitive; Gauss's lemma keeps the exact divisions by the gcd integral
-    ia, ca = _int_parts(a)
-    ib, cb = _int_parts(b)
+    s = lcm(num.s, den.s)
+    # all polynomial work over Z: num = (ca/num.k) * ia and den = (cb/den.k)
+    # * ib with ia, ib primitive; Gauss's lemma keeps the exact divisions by
+    # the gcd integral and their quotients primitive
+    ia, ca, va = _primitive_dense(_stretch(num, s, num.k))
+    ib, cb, vb = _primitive_dense(_stretch(den, s, den.k))
     g = _int_gcd_primitive(ia, ib)
     if len(g) > 1:
-        ia = _int_div_exact(ia, g)
-        ib = _int_div_exact(ib, g)
-    # divide both by (leading coeff of den) * q^(top exponent of den)
-    lb = ib[-1]
-    top_e = vb + Fraction(len(ib) - 1, s)
-    nf = ca / (cb * lb)
-    n = QLaurent([(va + Fraction(j, s) - top_e, nf * c)
-                  for j, c in enumerate(ia) if c])
-    d = QLaurent([(vb + Fraction(j, s) - top_e, Fraction(c, lb))
-                  for j, c in enumerate(ib) if c])
-    return n, d
+        ia, ib = _int_div_exact(ia, g), _int_div_exact(ib, g)
+    # divide both by (leading coeff lb of ib) * q^(top exponent of den); the
+    # numerator's scalar is f/kn, and ia primitive leaves only gcd(f, kn)
+    lb, top = ib[-1], vb + len(ib) - 1
+    f, kn = ca * den.k * (1 if lb > 0 else -1), num.k * cb * abs(lb)
+    h = gcd(f, kn)
+    n = _make(s, kn // h, tuple((va - top + j, f // h * c) for j, c in enumerate(ia) if c))
+    return n, _L_ONE if len(ib) == 1 else _make(
+        s, abs(lb), tuple((vb - top + j, c if lb > 0 else -c) for j, c in enumerate(ib) if c))
 
 
 # ---------------------------------------------------------------------------
@@ -394,30 +404,24 @@ class FieldElement:
 
     def _check_ambient(self) -> None:
         D = self.ambient_D
-        need = lcm(self.num.exponent_denominator(), self.den.exponent_denominator())
-        if D % need != 0:
+        if D % lcm(self.num.s, self.den.s) != 0:
             raise AmbientMismatchError(
                 f"exponent denominators do not divide ambient root order D={D}")
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def from_int(n: int) -> "FieldElement":
-        return FieldElement(QLaurent.const(n))
-
-    @staticmethod
     def from_fraction(c: Rat) -> "FieldElement":
         return FieldElement(QLaurent.const(c))
+
+    from_int = from_fraction
 
     @staticmethod
     def q_power(e: Rat, c: Rat = 1) -> "FieldElement":
         return FieldElement(QLaurent.q_power(e, c))
 
     def with_ambient(self, D: Optional[int]) -> "FieldElement":
-        out = object.__new__(FieldElement)
-        object.__setattr__(out, "num", self.num)
-        object.__setattr__(out, "den", self.den)
-        object.__setattr__(out, "ambient_D", D)
+        out = _field_raw(self.num, self.den, D)
         if D is not None:
             out._check_ambient()
         return out
@@ -429,9 +433,6 @@ class FieldElement:
 
     def __bool__(self) -> bool:
         return bool(self.num)
-
-    def is_one(self) -> bool:
-        return self.num == _L_ONE and self.den == _L_ONE
 
     def is_laurent(self) -> bool:
         """True when the denominator is 1."""
@@ -540,14 +541,9 @@ class FieldElement:
         quotient is regular iff the numerator has no positive exponent, and the
         value is the numerator's q^0 coefficient.
         """
-        d = self.num.degree()
-        if d is not None and d > 0:
-            return False, Fraction(0)
-        return True, self.num.coeff(0)
-
-    def vanishes_at_infinity(self) -> bool:
-        flag, res = self.regular_at_infinity()
-        return flag and res == 0
+        p = self.num.pairs
+        top = p[-1][0] if p else -1
+        return top <= 0, Fraction(p[-1][1], self.num.k) if top == 0 else Fraction(0)
 
     # -- comparisons and display ----------------------------------------------
 
@@ -558,6 +554,9 @@ class FieldElement:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
+        # a rational constant equals its Fraction, so it must hash as one
+        if self.den == _L_ONE and all(e == 0 for e, _ in self.num.pairs):
+            return hash(self.num.subs_q_one())
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
@@ -570,9 +569,9 @@ class FieldElement:
 
     def to_json_obj(self) -> dict:
         """Normative scalar JSON: term lists ascending by exponent."""
-        def dump(p: QLaurent):
-            return [[e.numerator, e.denominator, c.numerator, c.denominator]
-                    for e, c in p.terms]
+        def dump(p: QLaurent):  # each term as reduced Fractions e/s and c/k
+            return [[e // ge, p.s // ge, c // gc, p.k // gc] for e, c in p.pairs
+                    for ge, gc in ((gcd(e, p.s), gcd(c, p.k)),)]
         return {"num": dump(self.num), "den": dump(self.den)}
 
     @staticmethod

@@ -6,6 +6,8 @@ import pytest
 
 from qrmat import cli
 from qrmat.cli import main
+from qrmat.qscalar import FieldElement
+from qrmat.rmatrix import RMatrixResult
 from qrmat.uqmod import InternalConsistencyError
 
 
@@ -30,6 +32,25 @@ def test_compute_all_methods_agree_and_write_file(tmp_path, capsys):
     assert obj["agree"] is True
     assert set(obj) == {"agree", "theta", "krls", "oracle"}
     assert obj["theta"]["entries"] == obj["krls"]["entries"]
+
+
+def test_compute_all_exits_1_when_routes_disagree(capsys, monkeypatch):
+    real = cli.r_matrix
+
+    def doubled_oracle(bl, br, method):
+        res = real(bl, br, method)
+        if method != "oracle":
+            return res
+        return RMatrixResult(res.matrix.scale(FieldElement.from_int(2)),
+                             method, bl, br)
+
+    monkeypatch.setattr(cli, "r_matrix", doubled_oracle)
+    code, stdout, stderr = run(
+        capsys, "compute-r", "--type", "A1", "--hw", "1", "--hw", "1",
+        "--method", "all")
+    assert code == 1
+    assert json.loads(stdout)["agree"] is False
+    assert "disagree" in stderr
 
 
 def test_compute_single_method_nine_by_nine(capsys):
