@@ -122,14 +122,6 @@ class Frame:
 # Kashiwara operators via i-string decomposition
 # ---------------------------------------------------------------------------
 
-def _module_cache(m: Module) -> dict:
-    cache = getattr(m, "_bases_cache", None)
-    if cache is None:
-        cache = {}
-        m._bases_cache = cache
-    return cache
-
-
 def string_chains(m: Module, i: int) -> List[List[Vec]]:
     """i-string decomposition of m: chains [u, F_i^(1) u, ..., F_i^(mstr) u]
     over vectors u with E_i u = 0, spanning every weight space.
@@ -137,7 +129,7 @@ def string_chains(m: Module, i: int) -> List[List[Vec]]:
     The chain through a head of weight wt must have length <H_i, wt> + 1
     exactly; anything else means the module is not integrable and raises.
     """
-    cache = _module_cache(m)
+    cache = m._bases_cache
     key = ("chains", i)
     if key in cache:
         return cache[key]
@@ -214,7 +206,7 @@ def kashiwara_operators(m: Module, i: int) -> Tuple[SparseMatrix, SparseMatrix]:
     On an i-string, Ftilde steps down one divided power and Etilde steps up
     one.
     """
-    cache = _module_cache(m)
+    cache = m._bases_cache
     key = ("kashiwara", i)
     if key in cache:
         return cache[key]
@@ -368,7 +360,7 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
     """
     if m.hw_index is None and hw_vec is None:
         raise ModuleConstructionError("crystal wants a highest weight vector")
-    cache = _module_cache(m)
+    cache = m._bases_cache
     if hw_vec is None and "crystal" in cache:
         return cache["crystal"]
     v0 = v_clean(dict(hw_vec)) if hw_vec is not None else m.hw_vector()
@@ -716,7 +708,7 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
     basis is returned, so a bug upstream surfaces as an error here, not as a
     wrong basis.
     """
-    cache = _module_cache(m)
+    cache = m._bases_cache
     if hw_vec is None and "global" in cache:
         return cache["global"]
 
@@ -817,11 +809,10 @@ def verify_global_basis(gb: GlobalBasis) -> None:
 # ---------------------------------------------------------------------------
 
 _ORIENTATIONS = ("left-dominant", "right-dominant")
+# Keyed by the Cartan matrix, not by datum: the orientation depends on A
+# alone, and one calibration then serves every datum of that type built
+# later in the process, such as a fresh datum per request.
 _orientation_cache: Dict[tuple, str] = {}
-
-
-def _cartan_key(cd: CartanDatum) -> tuple:
-    return tuple(tuple(row) for row in cd.A)
 
 
 def _pair_edges(bv: CrystalGraph, bw: CrystalGraph, orientation: str):
@@ -922,12 +913,12 @@ def _algebraic_pair_edges(bv: CrystalGraph, bw: CrystalGraph):
 def signature_orientation(cd: CartanDatum) -> str:
     """Which tensor factor the signature rule favors, for this Cartan datum.
 
-    Calibrated once per datum by comparing both candidate rules against the
-    algebraic Kashiwara residues on V_{omega_1} tensor V_{omega_1}.
+    Calibrated once per Cartan matrix by comparing both candidate rules
+    against the algebraic Kashiwara residues on V_{omega_1} tensor
+    V_{omega_1}.
     """
-    key = _cartan_key(cd)
-    if key in _orientation_cache:
-        return _orientation_cache[key]
+    if cd.A in _orientation_cache:
+        return _orientation_cache[cd.A]
     from .uqmod import make_irreducible
     probe = make_irreducible(cd, tuple(1 if k == 0 else 0
                                        for k in range(cd.n)))
@@ -950,7 +941,7 @@ def signature_orientation(cd: CartanDatum) -> str:
         raise InternalConsistencyError(
             f"signature rule calibration found {len(matches)} matching "
             f"orientations")
-    _orientation_cache[key] = matches[0]
+    _orientation_cache[cd.A] = matches[0]
     return matches[0]
 
 

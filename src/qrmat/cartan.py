@@ -124,6 +124,10 @@ class CartanDatum:
         self._w0_word: Optional[Tuple[int, ...]] = None
         self._theta: Optional[Tuple[int, ...]] = None
         self._w0_matrix: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+        # V_lambda of this datum by highest weight: uqmod.make_irreducible
+        # builds each one once and keeps it here, so modules, crystals and
+        # global bases live exactly as long as the datum
+        self._irreducibles: dict = {}
         if self.finite:
             self._compute_longest_element()
 
@@ -311,13 +315,6 @@ class CartanDatum:
         self._require_finite()
         return self._apply_matrix(self._w0_matrix, wt)
 
-    def apply_word(self, word: Sequence[int], wt: Sequence) -> WeightT:
-        """Apply s_{word[0]} s_{word[1]} ... s_{word[-1]} to wt."""
-        out = tuple(Fraction(x) for x in wt)
-        for i in reversed(word):
-            out = self.reflect(i, out)
-        return out
-
     def positive_roots(self) -> List[WeightT]:
         """All positive roots, by closure under simple reflections."""
         self._require_finite()
@@ -339,9 +336,6 @@ class CartanDatum:
         self._require_finite()
         diff = tuple(Fraction(nu[k]) - Fraction(mu[k]) for k in range(self.n))
         return all(c >= 0 for c in self.root_coefficients(diff))
-
-    def dominance_lt(self, mu: Sequence, nu: Sequence) -> bool:
-        return tuple(mu) != tuple(nu) and self.dominance_leq(mu, nu)
 
     def is_dominant(self, wt: Sequence) -> bool:
         return all(Fraction(x) >= 0 for x in wt)

@@ -77,15 +77,20 @@ def _dominant_weights(cd: CartanDatum, max_sum: int) -> List[WeightT]:
     return sorted(out)
 
 
-_module_cache: Dict[Tuple[str, WeightT], Module] = {}
+# One Cartan datum per type label for the life of the process; the datum
+# owns the irreducibles built on it (uqmod.make_irreducible).
+_cartans: Dict[str, CartanDatum] = {}
 _based_cache: Dict[Tuple[str, WeightT], BasedModule] = {}
 
 
+def _cartan_of(label: str) -> CartanDatum:
+    if label not in _cartans:
+        _cartans[label] = make_cartan(label)
+    return _cartans[label]
+
+
 def _module_of(label: str, hw: WeightT) -> Module:
-    key = (label, hw)
-    if key not in _module_cache:
-        _module_cache[key] = make_irreducible(make_cartan(label), hw)
-    return _module_cache[key]
+    return make_irreducible(_cartan_of(label), hw)
 
 
 def _based_of(label: str, hw: WeightT) -> BasedModule:
@@ -123,7 +128,7 @@ def _emit(payload: str, out: Optional[str], golden: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compute(args) -> int:
-    cd = make_cartan(args.type)
+    cd = _cartan_of(args.type)
     if len(args.hw) != 2:
         raise CliError("compute-r wants exactly two --hw weights")
     lam, mu = (_parse_weight(t, cd) for t in args.hw)
@@ -273,7 +278,7 @@ def _run_suite(suite: str, args, cd: CartanDatum, fault: Optional[str]
 
 
 def cmd_verify(args) -> int:
-    cd = make_cartan(args.type)
+    cd = _cartan_of(args.type)
     fault = args.inject_fault
     if args.suite == "all":
         if fault is not None:
@@ -324,7 +329,7 @@ def _list_hw_text(label: str, lam: WeightT, mu: WeightT) -> str:
 
 
 def cmd_crystal(args) -> int:
-    cd = make_cartan(args.type)
+    cd = _cartan_of(args.type)
     if args.tensor:
         lam = _parse_weight(args.tensor[0], cd)
         mu = _parse_weight(args.tensor[1], cd)
@@ -345,7 +350,7 @@ def cmd_crystal(args) -> int:
 
 
 def cmd_canonical_basis(args) -> int:
-    cd = make_cartan(args.type)
+    cd = _cartan_of(args.type)
     if not args.hw:
         raise CliError("canonical-basis wants --hw")
     hw = _parse_weight(args.hw[0], cd)

@@ -67,6 +67,11 @@ class QLaurent:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("QLaurent is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # guard refuses the default slot-by-slot restore
+        return QLaurent, (self.terms,)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -117,10 +122,6 @@ class QLaurent:
     def coeff(self, e: Rat) -> Fraction:
         e = _rat(e) * self.s
         return next((Fraction(c, self.k) for ee, c in self.pairs if ee == e), Fraction(0))
-
-    def exponent_denominator(self) -> int:
-        """lcm of the denominators of all exponents (1 for the zero poly)."""
-        return self.s
 
     # -- ring operations -----------------------------------------------------
 
@@ -401,6 +402,9 @@ class FieldElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
+
+    def __reduce__(self):
+        return FieldElement, (self.num, self.den, self.ambient_D)
 
     def _check_ambient(self) -> None:
         D = self.ambient_D

@@ -20,9 +20,18 @@ The three constructions:
 They must agree exactly; the checkers (method agreement, hexagon,
 Yang-Baxter, the Gamma identity, normalization row, double braiding,
 scaling independence) report counterexamples with both sides' values.
+
+Every built object has one owner and lives as long as it does.  The
+Cartan datum owns each V_nu (uqmod.make_irreducible), and a module owns
+its crystal, global basis and its tensor products with right factors.  A
+based module owns its transported Theta, Gamma and bar (theta_on,
+gamma_on, bar_on) and, weakly keyed by the right factor, its based tensor
+products; a based tensor product owns its braiding.  Nothing is keyed by
+object identity at module level, so objects a caller drops are freed.
 """
 
 import json
+import weakref
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -41,13 +50,8 @@ from .uqmod import (InternalConsistencyError, IsotypicDecomposition, Module,
 WeightT = Tuple[int, ...]
 
 
-def _rho_exp(cd: CartanDatum, wt: Sequence) -> Fraction:
-    rho = tuple(1 for _ in range(cd.n))
-    return cd.bilinear(wt, rho)
-
-
 def _theta_exponent(cd: CartanDatum, nu: Sequence) -> Fraction:
-    return -cd.bilinear(nu, nu) / 2 + _rho_exp(cd, nu)
+    return -cd.bilinear(nu, nu) / 2 + cd.bilinear(nu, cd.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,11 @@ class BasedModule:
         self.module = module
         self.components = components
         self._maps: Dict[tuple, TransportedMap] = {}
+        # based tensor products with this left factor, weakly keyed by the
+        # right factor so that each dies with either of its factors
+        self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # sigma_{V,W} when this is the based tensor product of V and W
+        self._braiding: Optional["Commutor"] = None
 
     @property
     def cartan(self) -> CartanDatum:
@@ -122,29 +131,6 @@ def based_irreducible(m: Module, gb: Optional[GlobalBasis] = None
     return BasedModule(m, [comp])
 
 
-_tmod_cache: Dict[Tuple[int, int], tuple] = {}
-
-
-def _tensor_module(ml: Module, mr: Module) -> Module:
-    key = (id(ml), id(mr))
-    hit = _tmod_cache.get(key)
-    if hit is None:
-        hit = (ml, mr, tensor(ml, mr))
-        _tmod_cache[key] = hit
-    return hit[2]
-
-
-_ref_cache: Dict[Tuple[int, WeightT], Tuple[Module, GlobalBasis]] = {}
-
-
-def _abstract_copy(cd: CartanDatum, nu: WeightT) -> Tuple[Module, GlobalBasis]:
-    key = (id(cd), nu)
-    if key not in _ref_cache:
-        ref = make_irreducible(cd, nu)
-        _ref_cache[key] = (ref, compute_global_basis(ref))
-    return _ref_cache[key]
-
-
 def _project_block(dec: IsotypicDecomposition, v: Vec, nu: WeightT) -> Vec:
     """Canonical projection onto the nu-isotypic block along the others."""
     coords = dec.change_inv.apply(v)
@@ -157,9 +143,6 @@ def _project_block(dec: IsotypicDecomposition, v: Vec, nu: WeightT) -> Vec:
     return v_clean(dec.change.apply(kept))
 
 
-_based_tensor_cache: Dict[Tuple[int, int], tuple] = {}
-
-
 def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
     """The canonical based structure on the tensor product.
 
@@ -168,12 +151,12 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
     nu-isotypic projection of (left pin) (x) (right basis element b); the
     projection lands in the top weight space of the nu block, hence is a
     highest weight vector, and equals the class predicted by the crystal.
+    Built once per factor pair and kept on the left factor.
     """
-    key = (id(bl), id(br))
-    hit = _based_tensor_cache.get(key)
+    hit = bl._tensors.get(br)
     if hit is not None:
-        return hit[2]
-    big = _tensor_module(bl.module, br.module)
+        return hit
+    big = tensor(bl.module, br.module)
     dec = isotypic_decomposition(big)
     comps: List[BasedComponent] = []
     for lcomp in bl.components:
@@ -199,8 +182,9 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
                     if not v_is_zero(big.E[i].apply(h)):
                         raise InternalConsistencyError(
                             "tensor pin is not a highest weight vector")
-                ref, ref_gb = _abstract_copy(big.cartan, nu)
-                comps.append(BasedComponent(big, nu, h, ref, ref_gb))
+                ref = make_irreducible(big.cartan, nu)
+                comps.append(BasedComponent(big, nu, h, ref,
+                                            compute_global_basis(ref)))
     counts: Dict[WeightT, int] = {}
     for c in comps:
         counts[c.nu] = counts.get(c.nu, 0) + 1
@@ -212,7 +196,7 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
             f"crystal predicts multiplicities {counts} but the isotypic "
             f"decomposition has {dec_counts}")
     out = BasedModule(big, comps)
-    _based_tensor_cache[key] = (bl, br, out)
+    bl._tensors[br] = out
     return out
 
 
@@ -338,7 +322,7 @@ class RMatrixResult:
         self.left = left
         self.right = right
         self.cartan = left.cartan
-        big = _tensor_module(left.module, right.module)
+        big = tensor(left.module, right.module)
         for r, c, _ in matrix.to_triplets():
             if big.weights[r] != big.weights[c]:
                 raise InternalConsistencyError(
@@ -380,18 +364,26 @@ def _pair_weight_diag(big: Module, ml: Module, mr: Module) -> SparseMatrix:
     return SparseMatrix(big.dim, big.dim, rows)
 
 
+def _conjugated(build: Callable[[BasedModule], TransportedMap],
+                bl: BasedModule, br: BasedModule, what: str
+                ) -> Tuple[BasedModule, SparseMatrix]:
+    """The based tensor product and (x_V^-1 (x) x_W^-1) o x_VW for the
+    system x = build, which must come out q-linear."""
+    bt = based_tensor(bl, br)
+    xv, xw, xt = build(bl), build(br), build(bt)
+    comp = tensor_of_maps(xv.inverse(), xw.inverse(), bt.module).compose(xt)
+    if comp.bar_linear:
+        raise InternalConsistencyError(f"{what} composite is not q-linear")
+    return bt, comp.matrix
+
+
 def r_theta(bl: BasedModule, br: BasedModule,
             wrong_sign: bool = False) -> RMatrixResult:
     """(Theta^-1 (x) Theta^-1) Delta(Theta): the composite of bar-linear
     maps, hence an honest q-linear matrix."""
-    bt = based_tensor(bl, br)
-    tl = theta_on(bl, wrong_sign)
-    tr = theta_on(br, wrong_sign)
-    tt = theta_on(bt, wrong_sign)
-    comp = tensor_of_maps(tl.inverse(), tr.inverse(), bt.module).compose(tt)
-    if comp.bar_linear:
-        raise InternalConsistencyError("Theta composite failed to be q-linear")
-    return RMatrixResult(comp.matrix, "theta", bl, br)
+    _, mat = _conjugated(lambda bm: theta_on(bm, wrong_sign), bl, br,
+                         "Theta")
+    return RMatrixResult(mat, "theta", bl, br)
 
 
 def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
@@ -401,7 +393,7 @@ def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     every T_w0 is the calibrated braid product, so no global basis or pin
     enters this construction.
     """
-    big = _tensor_module(bl.module, br.module)
+    big = tensor(bl.module, br.module)
     tl = make_Tw0(bl.module, "braid-product")
     tr = make_Tw0(br.module, "braid-product")
     tt = make_Tw0(big, "braid-product")
@@ -478,8 +470,8 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     the solver checks the solution point is unique outright.
     """
     ml, mr = bl.module, br.module
-    big = _tensor_module(ml, mr)
-    wv = _tensor_module(mr, ml)
+    big = tensor(ml, mr)
+    wv = tensor(mr, ml)
     cd = big.cartan
     dl, dr = ml.dim, mr.dim
     diag = [cd.bilinear(ml.weights[t // dr], mr.weights[t % dr])
@@ -605,22 +597,13 @@ def build_commutor(system: MorphismSystem, bl: BasedModule,
     anti-automorphism system; the same composite without the flip (an
     endomorphism of V (x) W) for a coalgebra automorphism system.  The
     result is verified to intertwine the module actions."""
-    bt = based_tensor(bl, br)
-    xv = system.build(bl)
-    xw = system.build(br)
-    xt = system.build(bt)
-    comp = tensor_of_maps(xv.inverse(), xw.inverse(), bt.module).compose(xt)
-    if comp.bar_linear:
-        raise InternalConsistencyError(
-            f"{system.name} commutor composite is not q-linear")
-    if system.comultiplicativity == "anti":
-        dst = _tensor_module(br.module, bl.module)
-        mat = flip_matrix(bl.module.dim, br.module.dim) @ comp.matrix
-        flipped = True
+    bt, mat = _conjugated(system.build, bl, br, f"{system.name} commutor")
+    flipped = system.comultiplicativity == "anti"
+    if flipped:
+        dst = tensor(br.module, bl.module)
+        mat = flip_matrix(bl.module.dim, br.module.dim) @ mat
     else:
         dst = bt.module
-        mat = comp.matrix
-        flipped = False
     fails = _intertwiner_failures(mat, bt.module, dst)
     if fails:
         raise InternalConsistencyError(
@@ -629,27 +612,13 @@ def build_commutor(system: MorphismSystem, bl: BasedModule,
     return Commutor(mat, bt.module, dst, system.name, flipped)
 
 
-_sigma_cache: Dict[Tuple[int, int], tuple] = {}
-
-
 def braiding(bl: BasedModule, br: BasedModule) -> Commutor:
-    """sigma_{V,W} = Flip o r_theta, verified as an intertwiner."""
-    key = (id(bl), id(br))
-    hit = _sigma_cache.get(key)
-    if hit is not None:
-        return hit[2]
-    r = r_theta(bl, br)
-    mat = flip_matrix(bl.module.dim, br.module.dim) @ r.matrix
-    src = _tensor_module(bl.module, br.module)
-    dst = _tensor_module(br.module, bl.module)
-    fails = _intertwiner_failures(mat, src, dst)
-    if fails:
-        raise InternalConsistencyError(
-            "braiding does not intertwine the actions: "
-            + json.dumps(fails[0]))
-    out = Commutor(mat, src, dst, "braiding", True)
-    _sigma_cache[key] = (bl, br, out)
-    return out
+    """sigma_{V,W} = Flip o r_theta, the commutor of the Theta system,
+    verified as an intertwiner and kept on the based tensor product."""
+    bt = based_tensor(bl, br)
+    if bt._braiding is None:
+        bt._braiding = build_commutor(theta_system(), bl, br)
+    return bt._braiding
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +742,7 @@ def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
     s_vw = braiding(bv, bw).matrix
     if perturb == "scale-block":
         s_vw = scale_isotypic_block(
-            s_vw, _tensor_module(bv.module, bw.module), 0,
+            s_vw, tensor(bv.module, bw.module), 0,
             FieldElement.q_power(1))
     elif perturb is not None:
         raise ValueError(f"unknown perturbation {perturb!r}")
@@ -809,7 +778,7 @@ def check_ybe(bv: BasedModule, wrong_flip: bool = False,
     """
     t0 = perf_counter()
     d = bv.module.dim
-    big = _tensor_module(bv.module, bv.module)
+    big = tensor(bv.module, bv.module)
     if wrong_flip:
         s = r_theta(bv, bv).matrix @ flip_matrix(d, d)
     else:
@@ -889,7 +858,7 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
         k_2rho(m).compose(bar).compose(jmap))
     for t in range(m.dim):
         mu = m.weights[t]
-        e = cd.bilinear(mu, mu) / 2 + _rho_exp(cd, mu)
+        e = cd.bilinear(mu, mu) / 2 + cd.bilinear(mu, cd.rho)
         want = FieldElement.q_power(e)
         got = jmap.matrix.rows.get(t, {}).get(t, ZERO)
         if got != want:
@@ -958,7 +927,7 @@ def check_double_braiding(bl: BasedModule, br: BasedModule
     component; the scalars are returned as data, not asserted."""
     t0 = perf_counter()
     sq = braiding(br, bl).matrix @ braiding(bl, br).matrix
-    big = _tensor_module(bl.module, br.module)
+    big = tensor(bl.module, br.module)
     dec = isotypic_decomposition(big)
     ces: List[dict] = []
     scalars: List[dict] = []

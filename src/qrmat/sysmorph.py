@@ -14,7 +14,7 @@ therefore yields a q-linear map with matrix M1 bar(M2).
 Braid operators act on each i-string [u, F^(1)u, .., F^(m)u] by reversing it
 with signed q_i-power coefficients.  Four sign/power variants are exposed;
 the one compatible with C_{T_w0} is found by calibration on a probe module
-and cached per Cartan datum.
+and cached per Cartan matrix.
 """
 
 from fractions import Fraction
@@ -301,43 +301,17 @@ def transport(m: Module, spec: MorphismSpec,
 
 
 # ---------------------------------------------------------------------------
-# The named maps
+# The weight-diagonal maps; Theta, Gamma and bar of a based module are
+# transported in rmatrix (theta_on, gamma_on, bar_on)
 # ---------------------------------------------------------------------------
-
-def _rho_pairing(cd: CartanDatum, wt: Sequence) -> Fraction:
-    rho = tuple(1 for _ in range(cd.n))
-    return cd.bilinear(wt, rho)
-
-
-def make_theta(m: Module,
-               pins: Optional[Sequence[Tuple[Vec, Vec]]] = None
-               ) -> TransportedMap:
-    """Theta: bar-linear, pinned on each component's highest weight vector
-    by the eigenvalue q^(-(nu,nu)/2 + (nu,rho))."""
-    if pins is None:
-        hw = m.hw_vector()
-        lam = m.weights[m.hw_index]
-        exp = -m.cartan.bilinear(lam, lam) / 2 + _rho_pairing(m.cartan, lam)
-        pins = [(hw, v_scale(hw, FieldElement.q_power(exp)))]
-    tmap = transport(m, theta_spec(),
-                     [s for s, _ in pins], [t for _, t in pins])
-    tmap.provenance = "theta"
-    return tmap
-
-
-def theta_pin_target(m: Module, hw_vec: Vec) -> Vec:
-    """The pinned Theta image of a component highest weight vector."""
-    nu = m.weights[next(iter(hw_vec))]
-    exp = -m.cartan.bilinear(nu, nu) / 2 + _rho_pairing(m.cartan, nu)
-    return v_scale(hw_vec, FieldElement.q_power(exp))
-
 
 def make_J(m: Module) -> TransportedMap:
     """J: q-linear, diagonal q^((mu,mu)/2 + (mu,rho)) on the mu weight
     space; verified against the C_J compatibility square."""
+    cd = m.cartan
     rows = {}
     for idx, wt in enumerate(m.weights):
-        exp = m.cartan.bilinear(wt, wt) / 2 + _rho_pairing(m.cartan, wt)
+        exp = cd.bilinear(wt, wt) / 2 + cd.bilinear(wt, cd.rho)
         rows[idx] = {idx: FieldElement.q_power(exp)}
     tmap = TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False, "J")
     failures = verify_compatibility(tmap, j_spec())
@@ -350,28 +324,11 @@ def make_J(m: Module) -> TransportedMap:
 
 def k_2rho(m: Module) -> TransportedMap:
     """Multiplication by K_{2 H_rho}: diagonal q^(2 (rho, mu))."""
+    cd = m.cartan
     rows = {}
     for idx, wt in enumerate(m.weights):
-        rows[idx] = {idx: FieldElement.q_power(2 * _rho_pairing(m.cartan, wt))}
+        rows[idx] = {idx: FieldElement.q_power(2 * cd.bilinear(wt, cd.rho))}
     return TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False, "K_2rho")
-
-
-def make_bar(m: Module, hw_vec: Optional[Vec] = None) -> TransportedMap:
-    """The bar involution of an irreducible module, fixing the pin."""
-    pin = v_clean(dict(hw_vec)) if hw_vec is not None else m.hw_vector()
-    tmap = transport(m, bar_spec(), pin, pin)
-    tmap.provenance = "bar"
-    return tmap
-
-
-def make_gamma(m: Module, gb: GlobalBasis) -> TransportedMap:
-    """Gamma: bar-linear, pinned by hw |-> lowest global basis element."""
-    if gb.module is not m:
-        raise ValueError("global basis belongs to a different module")
-    tmap = transport(m, gamma_spec(), gb.hw_vec,
-                     gb.elements[gb.low_vertex])
-    tmap.provenance = "gamma"
-    return tmap
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +336,9 @@ def make_gamma(m: Module, gb: GlobalBasis) -> TransportedMap:
 # ---------------------------------------------------------------------------
 
 BRAID_VARIANTS = ("A+1", "A-1", "B+1", "B-1")
+# Keyed by the Cartan matrix, not by datum: the variant depends on A alone
+# (d is a function of A), and one calibration then serves every datum of
+# that type built later in the process, such as a fresh datum per request.
 _braid_variant_cache: Dict[tuple, str] = {}
 
 
@@ -406,13 +366,9 @@ def braid_operator(m: Module, i: int, variant: Optional[str] = None
         variant = calibrate_braid_variant(m.cartan)
     if variant not in BRAID_VARIANTS:
         raise ValueError(f"unknown braid variant {variant!r}")
-    cache = getattr(m, "_braid_cache", None)
-    if cache is None:
-        cache = {}
-        m._braid_cache = cache
     key = (i, variant)
-    if key in cache:
-        return cache[key]
+    if key in m._braid_cache:
+        return m._braid_cache[key]
     d = m.cartan.d[i]
 
     def image(chain, n):
@@ -421,7 +377,7 @@ def braid_operator(m: Module, i: int, variant: Optional[str] = None
                        _braid_coefficient(variant, d, mstr, n))
 
     out = operator_from_strings(m, i, image)
-    cache[key] = out
+    m._braid_cache[key] = out
     return out
 
 
@@ -457,11 +413,10 @@ def calibrate_braid_variant(cd: CartanDatum) -> str:
     Probed on V_{omega_1}; the product must satisfy the full compatibility
     square and send the lowest global basis element to the highest one on
     the nose.  Exactly one variant qualifies; the winner is cached per
-    Cartan datum.
+    Cartan matrix.
     """
-    key = tuple(tuple(row) for row in cd.A) + (tuple(cd.d),)
-    if key in _braid_variant_cache:
-        return _braid_variant_cache[key]
+    if cd.A in _braid_variant_cache:
+        return _braid_variant_cache[cd.A]
     from .bases import compute_global_basis
     probe = make_irreducible(cd, tuple(1 if k == 0 else 0
                                        for k in range(cd.n)))
@@ -482,7 +437,7 @@ def calibrate_braid_variant(cd: CartanDatum) -> str:
         raise InternalConsistencyError(
             f"braid calibration found {len(winners)} usable variants "
             f"{winners}; expected exactly one")
-    _braid_variant_cache[key] = winners[0]
+    _braid_variant_cache[cd.A] = winners[0]
     return winners[0]
 
 

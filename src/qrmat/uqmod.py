@@ -79,8 +79,14 @@ class Module:
         self._weight_spaces: Dict[WeightT, List[int]] = {}
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
+        # objects derived from this module live on it: divided powers, the
+        # isotypic decomposition, string and crystal data (bases), braid
+        # operators (sysmorph), and V (x) W keyed by the right factor W
         self._divided_cache: Dict[Tuple[str, int, int], SparseMatrix] = {}
         self._decomposition: Optional[IsotypicDecomposition] = None
+        self._bases_cache: dict = {}
+        self._braid_cache: Dict[Tuple[int, str], SparseMatrix] = {}
+        self._tensors: Dict[Module, Module] = {}
 
     # -- structure ------------------------------------------------------------
 
@@ -164,8 +170,10 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
                      max_depth: Optional[int] = None) -> Module:
     """Construct V_lambda with its highest-weight pin at basis index 0.
 
-    max_depth truncates the F-spanning for exploration of non-finite data;
-    truncated output carries no correctness contract and skips verification.
+    The module is built once per Cartan datum and highest weight and kept
+    on the datum; later calls return that same module.  max_depth truncates
+    the F-spanning for exploration of non-finite data; truncated output
+    carries no correctness contract, skips verification and is not kept.
     """
     lam = _as_int_weight(hw)
     if len(lam) != cartan.n:
@@ -174,6 +182,8 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
         raise ModuleConstructionError(f"highest weight {lam} is not dominant")
     if not cartan.finite and max_depth is None:
         raise ModuleConstructionError("non-finite type needs an explicit max_depth")
+    if max_depth is None and lam in cartan._irreducibles:
+        return cartan._irreducibles[lam]
 
     n = cartan.n
     # per-basis bookkeeping, indexed by construction order
@@ -308,6 +318,7 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
                  hw_index=0, words=words)
     if max_depth is None:
         verify_module(mod)
+        cartan._irreducibles[lam] = mod
     return mod
 
 
@@ -385,7 +396,12 @@ def _check_weight_grading(m: Module, mat: SparseMatrix, i: int, sign: int) -> No
 # ---------------------------------------------------------------------------
 
 def tensor(m: Module, w: Module) -> Module:
-    """V (x) W with the coproduct actions; basis index = a * dim(W) + b."""
+    """V (x) W with the coproduct actions; basis index = a * dim(W) + b.
+
+    Built once per factor pair and kept on the left factor.
+    """
+    if w in m._tensors:
+        return m._tensors[w]
     if m.cartan is not w.cartan:
         # allow equal-but-distinct data only if structurally identical
         if m.cartan.A != w.cartan.A or m.cartan.d != w.cartan.d:
@@ -420,7 +436,9 @@ def tensor(m: Module, w: Module) -> Module:
                     trips_f.append((a * w.dim + r, a * w.dim + c, val * k))
         E[i] = SparseMatrix.from_triplets(dim, dim, trips_e)
         F[i] = SparseMatrix.from_triplets(dim, dim, trips_f)
-    return Module(cd, weights, E, F, provenance="tensor", factors=(m, w))
+    out = Module(cd, weights, E, F, provenance="tensor", factors=(m, w))
+    m._tensors[w] = out
+    return out
 
 
 def kron_vec(a: Vec, b: Vec, right_dim: int) -> Vec:
@@ -464,7 +482,7 @@ class IsotypicComponent:
         self.nu = nu
         self.hw_vec = hw_vec
         self.basis = basis
-        self.ref = ref  # reference copy of V_nu, basis-aligned with `basis`
+        self.ref = ref  # the datum's V_nu, basis-aligned with `basis`
 
     def __repr__(self):
         return f"IsotypicComponent(nu={self.nu}, dim={len(self.basis)})"
@@ -496,12 +514,6 @@ class IsotypicDecomposition:
         kept = {k: c for k, c in coords.items() if lo <= k < hi}
         return self.change.apply(kept)
 
-    def component_coordinates(self, v: Vec, comp_index: int) -> Vec:
-        """Coordinates of the projection in the component's reference basis."""
-        lo, hi = self.slices[comp_index]
-        coords = self.change_inv.apply(v)
-        return {k - lo: c for k, c in coords.items() if lo <= k < hi}
-
 
 def _component_order_key(cd: CartanDatum, lam_top: WeightT):
     def key(nu: WeightT):
@@ -511,8 +523,7 @@ def _component_order_key(cd: CartanDatum, lam_top: WeightT):
     return key
 
 
-def isotypic_decomposition(m: Module,
-                           make_ref=None) -> IsotypicDecomposition:
+def isotypic_decomposition(m: Module) -> IsotypicDecomposition:
     """Split a completely reducible module into highest-weight components.
 
     Components are ordered by descending dominance of nu (height of the drop
@@ -520,18 +531,14 @@ def isotypic_decomposition(m: Module,
     """
     if m._decomposition is not None:
         return m._decomposition
-    make_ref = make_ref or make_irreducible
     dominant = [wt for wt in m.weight_multiplicities() if m.cartan.is_dominant(wt)]
     top = max(dominant, key=lambda wt: sum(
         m.cartan.root_coefficients([Fraction(x) for x in wt])))
     dominant.sort(key=_component_order_key(m.cartan, top))
     comps: List[IsotypicComponent] = []
-    ref_cache: Dict[WeightT, Module] = {}
     for nu in dominant:
         for hw in highest_weight_vectors(m, nu):
-            if nu not in ref_cache:
-                ref_cache[nu] = make_ref(m.cartan, nu)
-            ref = ref_cache[nu]
+            ref = make_irreducible(m.cartan, nu)
             basis = [m.apply_f_word(wd, hw) for wd in ref.words]
             comps.append(IsotypicComponent(nu, hw, basis, ref))
     dec = IsotypicDecomposition(m, comps)

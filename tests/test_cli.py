@@ -1,6 +1,10 @@
 """Command line interface: exit codes, outputs, determinism, faults."""
 
+import contextlib
+import gc
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -253,3 +257,25 @@ def test_canonical_basis_golden_roundtrip(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+def test_repeated_scaling_requests_keep_memory_bounded():
+    # every scaling request builds fresh based modules; what they derive
+    # must die with them, not pile up in the process
+    argv = ["verify", "--suite", "scaling", "--type", "A1", "--hw", "1",
+            "--hw", "1"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for _ in range(5):
+            assert main(argv) == 0
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(15):
+                assert main(argv) == 0
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    assert grown < 500_000, f"15 scaling requests grew {grown} bytes"

@@ -1,0 +1,25 @@
+"""The benchmark's per-layer tracer still finds every function it wraps."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import qrmat.cli
+from layertrace import Tracer
+Tracer().install()
+"""
+
+
+def test_tracer_installs_against_the_package():
+    # install() raises when a wrapped name is gone, so a rename in src/
+    # that would silently break `perfbench/run.py --trace 1` fails here
+    script = SCRIPT.format(src=os.path.join(ROOT, "src"),
+                           bench=os.path.join(ROOT, "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -4,8 +4,10 @@ Derived expectations are cross-checked against sympy (independent
 cancellation / limit oracle); structural properties run under hypothesis.
 """
 
+import copy
 import json
 import os
+import pickle
 import random
 from fractions import Fraction
 
@@ -219,6 +221,18 @@ def test_json_round_trip(a):
     exps = [Fraction(r[0], r[1]) for r in obj["num"]]
     assert exps == sorted(exps)
     assert FieldElement.from_json_obj(obj) == a
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_elements())
+def test_copy_and_pickle_round_trip(a):
+    # exponent denominators are 1, 2 or 3, so D = 6 is a valid tag
+    for x in (a, a.num, a.with_ambient(6)):
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+    assert pickle.loads(pickle.dumps(a.with_ambient(6))).ambient_D == 6
+    assert copy.deepcopy(a.with_ambient(6)).ambient_D == 6
 
 
 _u = sympy.Symbol("u", positive=True)  # q = u^6 makes every exponent integral

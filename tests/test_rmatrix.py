@@ -1,11 +1,14 @@
 """R-matrices three ways, tensor pinning, commutors, and the checkers."""
 
+import gc
 import json
 import os
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from qrmat import uqmod
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq
 from qrmat.qscalar import ONE, FieldElement
@@ -99,6 +102,35 @@ def test_based_tensor_is_cached_per_factor_pair():
     assert based_tensor(bl, br) is based_tensor(bl, br)
 
 
+def test_based_tensor_and_braiding_die_with_a_factor():
+    bl = based_of("A1", (1,))
+    br = based_irreducible(bl.module)
+    bt = weakref.ref(based_tensor(bl, br))
+    sigma = weakref.ref(braiding(bl, br))
+    assert bt() is based_tensor(bl, br)
+    del br
+    gc.collect()
+    assert bt() is None and sigma() is None
+
+
+@pytest.mark.parametrize("label,lam,mu", [
+    ("A2", (1, 0), (2, 0)),   # V(3,0) + V(1,1)
+    ("B2", (1, 0), (1, 0)),   # V(2,0) + V(0,2) + V(0,0)
+])
+def test_each_irreducible_is_built_once_per_datum(label, lam, mu,
+                                                  monkeypatch):
+    built = []
+    real = uqmod.verify_module
+    monkeypatch.setattr(uqmod, "verify_module",
+                        lambda m: built.append(m) or real(m))
+    cd = make_cartan(label)
+    bl = based_irreducible(make_irreducible(cd, lam))
+    br = based_irreducible(make_irreducible(cd, mu))
+    for method in ("theta", "krls", "oracle"):
+        r_matrix(bl, br, method)
+    assert len(built) == 4
+
+
 # -- the three constructions --------------------------------------------------
 
 
@@ -151,8 +183,9 @@ def test_result_rejects_weight_grading_violation():
 def test_serialization_is_deterministic_across_rebuilds():
     bl, br = based_of("A1", (1,)), based_of("A1", (2,))
     base = r_theta(bl, br).serialize()
-    fresh = r_theta(based_irreducible(make_irreducible(A1, (1,))),
-                    based_irreducible(make_irreducible(A1, (2,)))).serialize()
+    a1 = make_cartan("A1")  # a fresh datum builds its modules afresh
+    fresh = r_theta(based_irreducible(make_irreducible(a1, (1,))),
+                    based_irreducible(make_irreducible(a1, (2,)))).serialize()
     assert fresh == base
 
 

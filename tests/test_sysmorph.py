@@ -8,11 +8,11 @@ from qrmat.bases import compute_global_basis
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement
+from qrmat.rmatrix import bar_on, based_irreducible, gamma_on, theta_on
 from qrmat.sysmorph import (TransportedMap, braid_operator,
                             braid_relations_hold, calibrate_braid_variant,
                             identity_spec, j_spec, k_2rho,
-                            make_J, make_Tw0, make_bar, make_gamma,
-                            make_theta, theta_pin_target, theta_spec,
+                            make_J, make_Tw0, theta_spec,
                             transport, tw0_spec, verify_compatibility)
 from qrmat.uqmod import (InternalConsistencyError,
                          ModuleConstructionError, make_irreducible, tensor)
@@ -42,6 +42,25 @@ def gb_of(label, hw):
     return compute_global_basis(module_of(label, hw))
 
 
+def theta_of(m):
+    return theta_on(based_irreducible(m))
+
+
+def gamma_of(m):
+    return gamma_on(based_irreducible(m))
+
+
+def bar_of(m):
+    return bar_on(based_irreducible(m))
+
+
+def theta_pinned(m, z):
+    """Theta transported from the honest pin target scaled by z."""
+    pin = m.hw_vector()
+    return transport(m, theta_spec(), pin,
+                     v_scale(theta_of(m).apply(pin), z))
+
+
 def qp(e, c=1):
     return FieldElement.q_power(Fraction(e), c)
 
@@ -55,7 +74,7 @@ def rho(cd):
 
 def test_theta_on_a1_fundamental_global_basis():
     gb = gb_of("A1", (1,))
-    theta = make_theta(gb.module)
+    theta = theta_of(gb.module)
     assert v_eq(theta.apply(gb.elements[0]), v_scale(gb.elements[0], qp("1/4")))
     assert v_eq(theta.apply(gb.elements[1]), v_scale(gb.elements[1], qp("-3/4")))
 
@@ -73,7 +92,7 @@ def test_k2rho_on_a1_fundamental_is_q_qinv():
 
 def test_gamma_swaps_extreme_global_basis_elements_a1():
     gb = gb_of("A1", (1,))
-    gamma = make_gamma(gb.module, gb)
+    gamma = gamma_of(gb.module)
     assert v_eq(gamma.apply(gb.elements[0]), gb.elements[1])
 
 
@@ -89,16 +108,15 @@ def test_tw0_sends_lowest_to_highest_with_unit_coefficient():
 
 @pytest.mark.parametrize("label,hw", ACCEPTANCE_MODULES)
 def test_gamma_equals_bar_after_inverse_tw0(label, hw):
-    gb = gb_of(label, hw)
-    m = gb.module
-    gamma = make_gamma(m, gb)
-    assert gamma == make_bar(m).compose(make_Tw0(m, "braid-product").inverse())
+    m = module_of(label, hw)
+    gamma = gamma_of(m)
+    assert gamma == bar_of(m).compose(make_Tw0(m, "braid-product").inverse())
 
 
 @pytest.mark.parametrize("label,hw", ACCEPTANCE_MODULES)
 def test_theta_equals_k2rho_bar_j(label, hw):
     m = module_of(label, hw)
-    assert make_theta(m) == k_2rho(m).compose(make_bar(m).compose(make_J(m)))
+    assert theta_of(m) == k_2rho(m).compose(bar_of(m).compose(make_J(m)))
 
 
 @pytest.mark.parametrize("label,hw", ACCEPTANCE_MODULES)
@@ -114,7 +132,7 @@ def test_j_diagonal_matches_transported_j(label, hw):
 def test_theta_is_diagonal_on_the_global_basis(label, hw):
     gb = gb_of(label, hw)
     m = gb.module
-    theta = make_theta(m)
+    theta = theta_of(m)
     for b in gb.elements:
         mu = m.weights[next(iter(b))]
         e = -m.cartan.bilinear(mu, mu) / 2 + m.cartan.bilinear(mu, rho(m.cartan))
@@ -123,16 +141,15 @@ def test_theta_is_diagonal_on_the_global_basis(label, hw):
 
 @pytest.mark.parametrize("label,hw", ACCEPTANCE_MODULES)
 def test_gamma_inverse_theta_equals_j_tw0(label, hw):
-    gb = gb_of(label, hw)
-    m = gb.module
-    lhs = make_gamma(m, gb).inverse().compose(make_theta(m))
+    m = module_of(label, hw)
+    lhs = gamma_of(m).inverse().compose(theta_of(m))
     rhs = make_J(m).compose(make_Tw0(m, "braid-product"))
     assert lhs == rhs
 
 
 @pytest.mark.parametrize("label,hw", ACCEPTANCE_MODULES)
 def test_theta_is_an_involution(label, hw):
-    theta = make_theta(module_of(label, hw))
+    theta = theta_of(module_of(label, hw))
     assert theta.compose(theta).is_identity()
 
 
@@ -140,13 +157,13 @@ def test_bar_fixes_the_standard_basis_of_irreducibles():
     # the construction basis comes from F-words with bar-fixed structure
     # constants, so the module bar is exactly coefficient-wise bar
     for label, hw in [("A1", (3,)), ("A2", (1, 1)), ("B2", (1, 0))]:
-        b = make_bar(module_of(label, hw))
+        b = bar_of(module_of(label, hw))
         assert b.bar_linear and b.matrix.is_identity()
 
 
 def test_gamma_composed_with_inverse_is_identity():
     gb = gb_of("A2", (1, 1))
-    gamma = make_gamma(gb.module, gb)
+    gamma = gamma_of(gb.module)
     assert gamma.inverse().compose(gamma).is_identity()
     assert gamma.compose(gamma.inverse()).is_identity()
 
@@ -244,7 +261,7 @@ def test_transport_detects_impossible_pin_target():
 
 def test_compose_tracks_bar_linearity():
     m = module_of("A1", (2,))
-    theta = make_theta(m)
+    theta = theta_of(m)
     J = make_J(m)
     assert theta.compose(theta).bar_linear is False
     assert theta.compose(J).bar_linear is True
@@ -256,7 +273,7 @@ def test_compose_tracks_bar_linearity():
 
 def test_bar_linear_inverse_inverts_pointwise():
     gb = gb_of("A2", (1, 0))
-    gamma = make_gamma(gb.module, gb)
+    gamma = gamma_of(gb.module)
     v = {0: qp(2), 2: ONE + qp(1)}
     assert v_eq(gamma.inverse().apply(gamma.apply(v)), v)
 
@@ -282,12 +299,10 @@ def test_scaled_pin_commutes_with_the_action_but_shifts_eigenvalues():
     gb = gb_of("A1", (2,))
     m = gb.module
     q = qp(1)
-    scaled = make_theta(m, pins=[(m.hw_vector(),
-                                  v_scale(theta_pin_target(m, m.hw_vector()),
-                                          q))])
+    scaled = theta_pinned(m, q)
     assert verify_compatibility(scaled, theta_spec()) == []
     assert scaled.compose(scaled).is_identity()  # q bar(q) = 1
-    honest = make_theta(m)
+    honest = theta_of(m)
     assert scaled != honest
     b = gb.elements[1]
     mu = m.weights[next(iter(b))]
@@ -299,9 +314,7 @@ def test_scaled_pin_commutes_with_the_action_but_shifts_eigenvalues():
 def test_non_monomial_pin_scaling_breaks_the_involution():
     m = module_of("A1", (2,))
     z = ONE + qp(1)
-    scaled = make_theta(m, pins=[(m.hw_vector(),
-                                  v_scale(theta_pin_target(m, m.hw_vector()),
-                                          z))])
+    scaled = theta_pinned(m, z)
     assert verify_compatibility(scaled, theta_spec()) == []
     assert not scaled.compose(scaled).is_identity()  # z bar(z) != 1
 
@@ -309,17 +322,15 @@ def test_non_monomial_pin_scaling_breaks_the_involution():
 def test_theta_pin_covariance():
     # pin target scaled by z rescales the whole map by z
     m = module_of("A2", (1, 1))
-    honest = make_theta(m)
+    honest = theta_of(m)
     for z in (qp(1), ONE + qp(1), FieldElement.from_int(2) - qp(-1)):
-        scaled = make_theta(m, pins=[
-            (m.hw_vector(),
-             v_scale(theta_pin_target(m, m.hw_vector()), z))])
+        scaled = theta_pinned(m, z)
         assert scaled.matrix == honest.matrix.scale(z)
 
 
 def test_transported_map_serialization_roundtrip():
     m = module_of("A1", (1,))
-    theta = make_theta(m)
+    theta = theta_of(m)
     obj = theta.to_json_obj()
     assert obj["bar_linear"] is True
     assert obj["dim"] == 2

@@ -121,6 +121,22 @@ def test_truncated_exploration_mode():
     affine = make_cartan([[2, -2], [-2, 2]])
     m = make_irreducible(affine, (1, 0), max_depth=3)
     assert m.dim > 1  # spans something without verification
+    assert make_irreducible(affine, (1, 0), max_depth=3) is not m  # not kept
+
+
+def test_irreducibles_and_tensors_are_built_once_per_owner():
+    cd = make_cartan("A2")
+    v = make_irreducible(cd, (1, 0))
+    assert make_irreducible(cd, [1, 0]) is v
+    assert make_irreducible(make_cartan("A2"), (1, 0)) is not v
+    w = make_irreducible(cd, (0, 1))
+    assert tensor(v, w) is tensor(v, w)
+    assert tensor(w, v) is not tensor(v, w)
+    # the decomposition's references are the datum's own modules
+    dec = isotypic_decomposition(tensor(v, w))
+    refs = {c.nu: c.ref for c in dec.components}
+    assert refs == {(1, 1): make_irreducible(cd, (1, 1)),
+                    (0, 0): make_irreducible(cd, (0, 0))}
 
 
 # -- tensor products ---------------------------------------------------------------
