@@ -465,6 +465,10 @@ class FieldElement:
         if o is None:
             return NotImplemented
         D = FieldElement._merge_ambient(self, o)
+        if not o.num.pairs:
+            return self if D == self.ambient_D else self.with_ambient(D)
+        if not self.num.pairs:
+            return o if D == o.ambient_D else o.with_ambient(D)
         if self.den == _L_ONE and o.den == _L_ONE:
             return _field_raw(self.num + o.num, _L_ONE, D)
         if self.den == o.den:
@@ -493,8 +497,11 @@ class FieldElement:
         if o is None:
             return NotImplemented
         D = FieldElement._merge_ambient(self, o)
-        if self.den == _L_ONE and o.den == _L_ONE:
-            return _field_raw(self.num * o.num, _L_ONE, D)
+        # a monomial is a unit: the product keeps the other denominator
+        if o.den == _L_ONE and (self.den == _L_ONE or len(o.num.pairs) == 1):
+            return _field_raw(self.num * o.num, self.den, D)
+        if self.den == _L_ONE and len(self.num.pairs) == 1:
+            return _field_raw(self.num * o.num, o.den, D)
         return FieldElement(self.num * o.num, self.den * o.den, D)
 
     __rmul__ = __mul__
@@ -502,7 +509,7 @@ class FieldElement:
     def inv(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return FieldElement(self.den, self.num, self.ambient_D)
+        return _top_scaled(self.den, self.num, self.ambient_D)
 
     def __truediv__(self, other) -> "FieldElement":
         o = self._coerce(other)
@@ -529,7 +536,7 @@ class FieldElement:
 
     def bar(self) -> "FieldElement":
         """Apply q -> q^(-1) and re-canonicalize."""
-        return FieldElement(self.num.bar(), self.den.bar(), self.ambient_D)
+        return _top_scaled(self.num.bar(), self.den.bar(), self.ambient_D)
 
     def subs_q_one(self) -> Fraction:
         """Classical specialization q = 1; raises ZeroDivisionError at poles."""
@@ -593,6 +600,14 @@ def _field_raw(num: QLaurent, den: QLaurent, D: Optional[int]) -> FieldElement:
     object.__setattr__(out, "den", den)
     object.__setattr__(out, "ambient_D", D)
     return out
+
+
+def _top_scaled(num: QLaurent, den: QLaurent, D: Optional[int]) -> FieldElement:
+    """num/den for coprime parts, both divided by den's top term so that it
+    becomes 1*q^0; a monomial is a unit, so no GCD needs cancelling."""
+    e, c = den.pairs[-1]
+    m = _make(den.s, abs(c), ((-e, den.k if c > 0 else -den.k),))
+    return _field_raw(num * m, den * m, D)
 
 
 ZERO = FieldElement(_L_ZERO)
