@@ -278,6 +278,8 @@ def _run_suite(suite: str, args, cd: CartanDatum, fault: Optional[str]
 
 
 def cmd_verify(args) -> int:
+    if args.max_hw < 1:
+        raise CliError(f"--max-hw must be at least 1, got {args.max_hw}")
     cd = _cartan_of(args.type)
     fault = args.inject_fault
     if args.suite == "all":

@@ -183,6 +183,17 @@ def test_verify_fault_wants_specific_suite(capsys):
     assert "specific --suite" in stderr
 
 
+@pytest.mark.parametrize("bound", ["-3", "0"])
+def test_verify_rejects_max_hw_below_one(capsys, bound):
+    # a bound below 1 used to verify nothing (or fall back to defaults)
+    # and still exit 0
+    code, out, stderr = run(
+        capsys, "verify", "--suite", "method-agreement", "--type", "A1",
+        "--max-hw", bound)
+    assert code == 2
+    assert "--max-hw" in stderr and out == ""
+
+
 def test_verify_fault_unsupported_for_suite(capsys):
     code, _, stderr = run(
         capsys, "verify", "--suite", "scaling", "--type", "A1",
