@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
 from .linalg import (SparseMatrix, Vec, inverse, kernel, solve, solve_many,
-                     solve_unique, v_add, v_bar, v_clean, v_eq, v_is_zero,
-                     v_scale, v_sub)
+                     v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
                     isotypic_decomposition, kron_vec, tensor)
@@ -68,7 +67,11 @@ def _echelon_lattice_basis(vecs: Sequence[Vec]) -> List[Vec]:
 
 
 class Frame:
-    """Exact A-basis of one weight slice of a lattice, with coordinate solves."""
+    """Exact A-basis of one weight slice of a lattice, with coordinate solves.
+
+    The square basis matrix is inverted once, on the first solve, and every
+    coordinate vector is then one sparse apply of that inverse.
+    """
 
     def __init__(self, rows: Sequence[int], basis: Sequence[Vec]):
         self.rows = sorted(rows)
@@ -80,6 +83,7 @@ class Frame:
                 f"dimension {len(self.rows)}")
         self.mat = SparseMatrix.from_columns(
             [self._local(v) for v in self.basis], len(self.rows))
+        self._inv: Optional[SparseMatrix] = None
 
     def _local(self, v: Vec) -> Vec:
         out = {}
@@ -91,17 +95,17 @@ class Frame:
         return out
 
     def coords(self, v: Vec) -> List[FieldElement]:
-        sol = solve_unique(self.mat, self._local(v))
+        if self._inv is None:
+            try:
+                self._inv = inverse(self.mat)
+            except ValueError:
+                raise InternalConsistencyError(
+                    "lattice frame vectors are linearly dependent") from None
+        sol = self._inv.apply(self._local(v))
         return [sol.get(t, ZERO) for t in range(len(self.basis))]
 
     def coords_many(self, vs: Sequence[Vec]) -> List[List[FieldElement]]:
-        sols = solve_many(self.mat, [self._local(v) for v in vs])
-        out = []
-        for sol in sols:
-            if sol is None:
-                raise InternalConsistencyError("vector outside its weight slice")
-            out.append([sol.get(t, ZERO) for t in range(len(self.basis))])
-        return out
+        return [self.coords(v) for v in vs]
 
     def in_lattice(self, coords: Sequence[FieldElement]) -> bool:
         return all(x.regular_at_infinity()[0] for x in coords)
@@ -465,20 +469,6 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
 # ---------------------------------------------------------------------------
 # Global bases
 # ---------------------------------------------------------------------------
-
-def symmetric_completion(f: FieldElement) -> FieldElement:
-    """a_0 + sum_{n>0} a_n (q^n + q^-n) for a Laurent polynomial sum a_n q^n.
-
-    The completion agrees with f in all degrees >= 0 and is bar-invariant, so
-    subtracting it from a bar-invariant scalar leaves only negative degrees.
-    """
-    if not f.is_laurent():
-        raise ValueError("symmetric completion wants a Laurent polynomial")
-    p = f.num
-    top = tuple((e, c) for e, c in p.pairs if e >= 0)
-    low = tuple((-e, c) for e, c in reversed(top) if e > 0)
-    return FieldElement(QLaurent.from_pairs(p.s, p.k, low + top))
-
 
 class GlobalBasis:
     """Bar-fixed lift of a crystal: one element per vertex."""

@@ -1,8 +1,11 @@
 """Sparse exact linear algebra over FieldElement.
 
 Vectors are dicts index -> FieldElement with no stored zeros. Matrices keep
-sparse rows. Solvers densify only the rows they touch; callers are expected
-to restrict to weight blocks before solving, so eliminations stay small.
+sparse rows. Every solver runs on one sparse-row Gauss-Jordan core, `rref`,
+whose reduced row echelon form is unique: rank, kernel, solutions and
+inverses do not depend on the pivot order. `Echelon` is its incremental
+form, for selecting independent vectors in order. A caller that reuses a
+matrix keeps its factorization (its inverse) rather than solving again.
 """
 
 from __future__ import annotations
@@ -215,71 +218,77 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
-# -- dense elimination core ---------------------------------------------------
-
-def _to_dense(a: SparseMatrix) -> List[List[FieldElement]]:
-    out = [[ZERO] * a.ncols for _ in range(a.nrows)]
-    for i, r in a.rows.items():
-        for j, c in r.items():
-            out[i][j] = c
-    return out
-
+# -- sparse Gauss-Jordan core --------------------------------------------------
 
 def _entry_cost(x: FieldElement) -> int:
     # pivot preference: fewer terms means less fill-in and smaller GCDs
     return len(x.num.pairs) + 2 * (len(x.den.pairs) - 1)
 
 
-def _rref(dense: List[List[FieldElement]], ncols: int) -> List[int]:
-    """In-place reduced row echelon form; returns pivot column per pivot row."""
-    nrows = len(dense)
-    pivots: List[int] = []
-    r = 0
+def _eliminate(row: Vec, f: FieldElement, prow: Vec) -> None:
+    """row -= f * prow in place, dropping the zeros it makes."""
+    for j, b in prow.items():
+        x = row.get(j)
+        x = -(f * b) if x is None else x - f * b
+        if x.is_zero():
+            row.pop(j, None)
+        else:
+            row[j] = x
+
+
+def rref(rows: Iterable[Vec], ncols: int) -> Tuple[Dict[int, Vec], List[Vec]]:
+    """Reduced row echelon form of sparse rows; pivots only below ncols.
+
+    Columns from ncols on (right-hand sides, an identity block) are carried
+    along.  Returns the pivot rows by ascending pivot column, each 1 at its
+    pivot and 0 at every other pivot, and the rows left with no entry below
+    ncols.  The form is unique, so the choice of pivot row (fewest terms
+    first) changes no result.
+    """
+    todo = [dict(r) for r in rows if r]
+    pivots: Dict[int, Vec] = {}
     for col in range(ncols):
-        best, best_cost = None, None
-        for i in range(r, nrows):
-            x = dense[i][col]
-            if not x.is_zero():
+        best, best_cost = -1, 0
+        for k, r in enumerate(todo):
+            x = r.get(col)
+            if x is not None:
                 c = _entry_cost(x)
-                if best is None or c < best_cost:
-                    best, best_cost = i, c
-        if best is None:
+                if best < 0 or c < best_cost:
+                    best, best_cost = k, c
+        if best < 0:
             continue
-        dense[r], dense[best] = dense[best], dense[r]
-        inv = dense[r][col].inv()
-        dense[r] = [x * inv if not x.is_zero() else x for x in dense[r]]
-        for i in range(nrows):
-            if i != r:
-                f = dense[i][col]
-                if not f.is_zero():
-                    dense[i] = [a - f * b if not b.is_zero() else a
-                                for a, b in zip(dense[i], dense[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+        prow = todo.pop(best)
+        inv = prow.pop(col).inv()
+        prow = {j: x * inv for j, x in prow.items()}
+        for r in todo + list(pivots.values()):
+            f = r.pop(col, None)
+            if f is not None:
+                _eliminate(r, f, prow)
+        prow[col] = ONE
+        pivots[col] = prow
+        todo = [r for r in todo if r]
+    return pivots, todo
+
+
+def _rows(a: SparseMatrix) -> List[Vec]:
+    return [a.rows.get(i, {}) for i in range(a.nrows)]
 
 
 def rank(a: SparseMatrix) -> int:
-    dense = _to_dense(a)
-    return len(_rref(dense, a.ncols))
+    return len(rref(_rows(a), a.ncols)[0])
 
 
 def kernel(a: SparseMatrix) -> List[Vec]:
-    """Basis of the right nullspace."""
-    dense = _to_dense(a)
-    pivots = _rref(dense, a.ncols)
-    pivot_set = set(pivots)
-    free = [j for j in range(a.ncols) if j not in pivot_set]
+    """Basis of the right nullspace, one vector per free column."""
+    pivots, _ = rref(_rows(a), a.ncols)
     basis: List[Vec] = []
-    for f in free:
-        v: Vec = {f: ONE}
-        for r, col in enumerate(pivots):
-            c = dense[r][f]
-            if not c.is_zero():
-                v[col] = -c
-        basis.append(v_clean(v))
+    for f in range(a.ncols):
+        if f not in pivots:
+            v: Vec = {f: ONE}
+            for col, row in pivots.items():
+                if f in row:
+                    v[col] = -row[f]
+            basis.append(v)
     return basis
 
 
@@ -290,59 +299,63 @@ def solve(a: SparseMatrix, b: Vec) -> Optional[Vec]:
 
 
 def solve_many(a: SparseMatrix, bs: Sequence[Vec]) -> List[Optional[Vec]]:
-    """Particular solutions for several right-hand sides at once."""
-    k = len(bs)
-    dense = _to_dense(a)
-    for i in range(a.nrows):
-        dense[i] = dense[i] + [bs[t].get(i, ZERO) for t in range(k)]
-    pivots = _rref(dense, a.ncols)
-    out: List[Optional[Vec]] = []
-    for t in range(k):
-        col = a.ncols + t
-        # inconsistent iff a nonpivot row has a nonzero augmented entry
-        bad = any(all(dense[r][j].is_zero() for j in range(a.ncols)) and
-                  not dense[r][col].is_zero() for r in range(len(dense)))
-        if bad:
-            out.append(None)
-            continue
-        sol: Vec = {}
-        for r, pc in enumerate(pivots):
-            c = dense[r][col]
-            if not c.is_zero():
-                sol[pc] = c
-        out.append(sol)
-    return out
-
-
-def solve_unique(a: SparseMatrix, b: Vec) -> Vec:
-    """The unique solution of a x = b; raises if none or many."""
-    sol = solve(a, b)
-    if sol is None:
-        raise ValueError("inconsistent linear system")
-    if len(kernel(a)) != 0:
-        raise ValueError("linear system is underdetermined")
-    return sol
+    """Particular solutions (free unknowns 0) for several right-hand sides."""
+    n = a.ncols
+    rows = _rows(a)
+    for t, b in enumerate(bs):
+        for i, x in b.items():
+            if i < a.nrows and not x.is_zero():
+                rows[i] = {**rows[i], n + t: x}
+    pivots, rest = rref(rows, n)
+    bad = {j for r in rest for j in r}
+    return [None if n + t in bad else
+            {col: row[n + t] for col, row in pivots.items() if n + t in row}
+            for t in range(len(bs))]
 
 
 def inverse(a: SparseMatrix) -> SparseMatrix:
     if a.nrows != a.ncols:
         raise ValueError("only square matrices invert")
     n = a.nrows
-    dense = _to_dense(a)
-    for i in range(n):
-        dense[i] = dense[i] + [ONE if j == i else ZERO for j in range(n)]
-    pivots = _rref(dense, n)
+    pivots, _ = rref([{**r, n + i: ONE} for i, r in enumerate(_rows(a))], n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    rows = {}
-    for i in range(n):
-        r = {j: dense[i][n + j] for j in range(n) if not dense[i][n + j].is_zero()}
-        if r:
-            rows[i] = r
-    return SparseMatrix(n, n, rows)
+    return SparseMatrix(n, n, {i: {j - n: x for j, x in row.items() if j >= n}
+                               for i, row in pivots.items()})
 
 
-def coords_in_basis(basis: Sequence[Vec], target: Vec, dim: int) -> Optional[Vec]:
-    """Coordinates of target in the given (independent) list of vectors."""
-    m = SparseMatrix.from_columns(basis, dim)
-    return solve(m, target)
+class Echelon:
+    """Incremental Gauss-Jordan for in-order greedy selection.
+
+    Each kept row is 1 at its pivot (stored without that entry) and 0 at
+    every other kept pivot, so reducing a vector against the kept rows is
+    order-free and, once the pivots are the columns of a nonsingular block,
+    the kept rows are that block's inverse times the rows it was given.
+    """
+
+    def __init__(self):
+        self.rows: Dict[int, Vec] = {}
+
+    def reduce(self, v: Vec) -> Vec:
+        out = dict(v)
+        for p in [p for p in v if p in self.rows]:
+            _eliminate(out, out.pop(p), self.rows[p])
+        return out
+
+    def add(self, v: Vec, pivot: Optional[int] = None) -> bool:
+        """Keep v if it survives reduction (at pivot, when one is given)."""
+        r = self.reduce(v)
+        if pivot is None:
+            if not r:
+                return False
+            pivot = min(r)
+        elif pivot not in r:
+            return False
+        inv = r.pop(pivot).inv()
+        r = {j: x * inv for j, x in r.items()}
+        for row in self.rows.values():
+            f = row.pop(pivot, None)
+            if f is not None:
+                _eliminate(row, f, r)
+        self.rows[pivot] = r
+        return True

@@ -38,8 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, inverse, v_clean, v_eq, v_is_zero,
-                     v_scale)
+from .linalg import (SparseMatrix, Vec, inverse, rref, v_clean, v_eq,
+                     v_is_zero, v_scale)
 from .qscalar import ONE, ZERO, FieldElement
 from .sysmorph import (TransportedMap, bar_spec, gamma_spec, k_2rho, make_J,
                        make_Tw0, theta_spec, transport)
@@ -402,62 +402,21 @@ def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     return RMatrixResult(mat, "krls", bl, br)
 
 
-def _strictly_higher(cd: CartanDatum, w2, w1,
-                     memo: Dict[tuple, bool]) -> bool:
-    key = (w2, w1)
-    if key not in memo:
-        diff = [Fraction(a) - Fraction(b) for a, b in zip(w2, w1)]
-        coeffs = cd.root_coefficients(diff)
-        memo[key] = all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs)
-    return memo[key]
-
-
-def _solve_sparse_unique(rows: List[Tuple[Dict[int, FieldElement],
-                                          FieldElement]],
-                         n_unknowns: int) -> List[FieldElement]:
+def _unique_solution(rows: List[Tuple[Vec, FieldElement]],
+                     n_unknowns: int) -> List[FieldElement]:
     """Unique solution of a sparse exact linear system, or raise."""
-    pivots: Dict[int, Tuple[Dict[int, FieldElement], FieldElement]] = {}
-    for coeffs, rhs in rows:
-        coeffs = dict(coeffs)
-        placed = False
-        while coeffs:
-            j = min(coeffs)
-            hit = pivots.get(j)
-            if hit is None:
-                inv = coeffs[j].inv()
-                pivots[j] = ({k: v * inv for k, v in coeffs.items()},
-                             rhs * inv)
-                placed = True
-                break
-            prow, prhs = hit
-            f = coeffs.pop(j)
-            for k, v in prow.items():
-                if k == j:
-                    continue
-                nv = coeffs.get(k, ZERO) - f * v
-                if nv.is_zero():
-                    coeffs.pop(k, None)
-                else:
-                    coeffs[k] = nv
-            rhs = rhs - f * prhs
-        if not placed and not rhs.is_zero():
-            raise InternalConsistencyError(
-                "triangular intertwiner system is inconsistent (solution "
-                "space is empty); this signals a conventions bug")
+    pivots, rest = rref([{**coeffs, n_unknowns: rhs} if rhs else coeffs
+                         for coeffs, rhs in rows], n_unknowns)
+    if rest:
+        raise InternalConsistencyError(
+            "triangular intertwiner system is inconsistent (solution "
+            "space is empty); this signals a conventions bug")
     if len(pivots) != n_unknowns:
         raise InternalConsistencyError(
             f"triangular intertwiner system is underdetermined "
             f"({n_unknowns - len(pivots)} free parameters); this signals a "
             f"conventions bug")
-    x = [ZERO] * n_unknowns
-    for j in sorted(pivots, reverse=True):
-        prow, prhs = pivots[j]
-        acc = prhs
-        for k, v in prow.items():
-            if k != j:
-                acc = acc - v * x[k]
-        x[j] = acc
-    return x
+    return [pivots[j].get(n_unknowns, ZERO) for j in range(n_unknowns)]
 
 
 def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
@@ -480,12 +439,12 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     by_total: Dict[WeightT, List[int]] = {}
     for t in range(big.dim):
         by_total.setdefault(big.weights[t], []).append(t)
-    memo: Dict[tuple, bool] = {}
     unknowns: List[Tuple[int, int]] = []
     for t in range(big.dim):
+        low = ml.weights[t // dr]
         for s in by_total[big.weights[t]]:
-            if _strictly_higher(cd, ml.weights[s // dr], ml.weights[t // dr],
-                                memo):
+            high = ml.weights[s // dr]
+            if high != low and cd.dominance_leq(low, high):
                 unknowns.append((s, t))
     uidx = {st: k for k, st in enumerate(unknowns)}
 
@@ -515,7 +474,7 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
             rows.setdefault((gnum, r, c), {})
     system = [( {k: v for k, v in rows[key].items() if not v.is_zero()},
                 rhs.get(key, ZERO)) for key in sorted(rows)]
-    x = _solve_sparse_unique(system, len(unknowns))
+    x = _unique_solution(system, len(unknowns))
 
     out_rows: Dict[int, Dict[int, FieldElement]] = {
         t: {t: FieldElement.q_power(diag[t])} for t in range(big.dim)}

@@ -22,8 +22,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .bases import GlobalBasis, operator_from_strings
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, inverse, v_bar, v_clean, v_eq,
-                     v_is_zero, v_scale, v_sub)
+from .linalg import (Echelon, SparseMatrix, Vec, inverse, v_bar, v_clean,
+                     v_eq, v_is_zero, v_scale)
 from .qscalar import ONE, FieldElement
 from .uqmod import (InternalConsistencyError, Module,
                     ModuleConstructionError, make_irreducible)
@@ -128,7 +128,10 @@ def j_spec() -> MorphismSpec:
 
 
 class TransportedMap:
-    """Endomorphism of one module; bar-linear maps apply bar, then matrix."""
+    """Endomorphism of one module; bar-linear maps apply bar, then matrix.
+
+    The inverse is computed once and kept on the map.
+    """
 
     def __init__(self, module: Module, matrix: SparseMatrix, bar_linear: bool,
                  provenance: str = ""):
@@ -138,6 +141,7 @@ class TransportedMap:
         self.matrix = matrix
         self.bar_linear = bar_linear
         self.provenance = provenance
+        self._inverse: Optional["TransportedMap"] = None
 
     def apply(self, v: Vec) -> Vec:
         return v_clean(self.matrix.apply(v_bar(v) if self.bar_linear else v))
@@ -154,12 +158,14 @@ class TransportedMap:
             f"({self.provenance} o {other.provenance})")
 
     def inverse(self) -> "TransportedMap":
-        inv = inverse(self.matrix)
-        if self.bar_linear:
-            # y = A bar(x)  =>  x = bar(A)^-1-bar applied to y
-            inv = inv.bar_entries()
-        return TransportedMap(self.module, inv, self.bar_linear,
-                              f"({self.provenance})^-1")
+        if self._inverse is None:
+            inv = inverse(self.matrix)
+            if self.bar_linear:
+                # y = A bar(x)  =>  x = bar(A)^-1-bar applied to y
+                inv = inv.bar_entries()
+            self._inverse = TransportedMap(self.module, inv, self.bar_linear,
+                                           f"({self.provenance})^-1")
+        return self._inverse
 
     def scale(self, c: FieldElement) -> "TransportedMap":
         return TransportedMap(self.module, self.matrix.scale(c),
@@ -240,26 +246,10 @@ def transport(m: Module, spec: MorphismSpec,
     gens += [(m.F[i], spec.f_image(m, i)) for i in range(m.cartan.n)]
 
     pairs: List[Tuple[Vec, Vec]] = list(pins)
-    # incremental elimination over the pair sources picks the basis subset
-    elim: List[Tuple[int, Vec]] = []
-    chosen: List[int] = []
-
-    def try_add(idx: int) -> bool:
-        vec = dict(pairs[idx][0])
-        for pcol, prow in elim:
-            if pcol in vec:
-                vec = v_sub(vec, v_scale(prow, vec[pcol]))
-        vec = v_clean(vec)
-        if v_is_zero(vec):
-            return False
-        pivot = min(vec)
-        elim.append((pivot, v_scale(vec, vec[pivot].inv())))
-        chosen.append(idx)
-        return True
-
+    # the first independent pair sources, in order, are the basis subset
+    sources = Echelon()
+    chosen = [k for k, (src, _) in enumerate(pairs) if sources.add(src)]
     frontier = list(range(len(pairs)))
-    for idx in frontier:
-        try_add(idx)
     while len(chosen) < m.dim:
         if not frontier:
             raise ModuleConstructionError(
@@ -272,7 +262,8 @@ def transport(m: Module, spec: MorphismSpec,
                 if v_is_zero(s2):
                     continue
                 pairs.append((s2, v_clean(img.apply(dst))))
-                if try_add(len(pairs) - 1):
+                if sources.add(s2):
+                    chosen.append(len(pairs) - 1)
                     nxt.append(len(pairs) - 1)
         if not nxt and len(chosen) < m.dim:
             raise ModuleConstructionError(

@@ -25,12 +25,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
 from .linalg import (
+    Echelon,
     SparseMatrix,
     Vec,
     inverse,
     kernel,
-    rank,
-    solve,
     v_add,
     v_clean,
     v_is_zero,
@@ -249,17 +248,14 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
                     val = pair_with_vec(pa, cand_e[b][ia])
                     g[a][b] = val
                     g[b][a] = val
-            # greedy rank selection in candidate order
-            selected: List[int] = []
-            for c_idx in range(m):
-                trial = selected + [c_idx]
-                mat = SparseMatrix(len(trial), len(trial),
-                                   {r: {s: g[trial[r]][trial[s]]
-                                        for s in range(len(trial))
-                                        if not g[trial[r]][trial[s]].is_zero()}
-                                    for r in range(len(trial))})
-                if rank(mat) == len(trial):
-                    selected.append(c_idx)
+            # greedy selection in candidate order: c survives iff the Gram
+            # block of the survivors and c is nonsingular, i.e. iff its
+            # Schur complement against the (nonsingular) survivor block is
+            # nonzero, which is c's own entry of its row reduced against the
+            # survivor rows
+            block = Echelon()
+            selected = [c for c in range(m) if block.add(
+                {b: x for b, x in enumerate(g[c]) if not x.is_zero()}, pivot=c)]
             # register survivors as new basis vectors
             new_ids: Dict[int, int] = {}
             for c_idx in selected:
@@ -277,26 +273,13 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
                         gram[(other_bid, bid)] = g[other_idx][c_idx]
                 pending_f[cands[c_idx]] = {bid: ONE}
                 new_frontier.append(bid)
-            # non-survivors: solve G_S x = pairings to express through survivors
-            if selected:
-                gs = SparseMatrix(len(selected), len(selected),
-                                  {r: {s: g[selected[r]][selected[s]]
-                                       for s in range(len(selected))
-                                       if not g[selected[r]][selected[s]].is_zero()}
-                                   for r in range(len(selected))})
+            # non-survivors: the reduced survivor rows are G_S^-1 G, so their
+            # column c holds the x with G_S x = the pairings of c
             for c_idx in range(m):
-                if c_idx in selected:
-                    continue
-                if not selected:
-                    pending_f[cands[c_idx]] = {}
-                    continue
-                rhs = {r: g[selected[r]][c_idx] for r in range(len(selected))
-                       if not g[selected[r]][c_idx].is_zero()}
-                x = solve(gs, rhs)
-                if x is None:
-                    raise InternalConsistencyError("contravariant form solve failed")
-                pending_f[cands[c_idx]] = v_clean(
-                    {new_ids[selected[r]]: c for r, c in x.items()})
+                if c_idx not in new_ids:
+                    pending_f[cands[c_idx]] = {
+                        new_ids[r]: block.rows[r][c_idx] for r in selected
+                        if c_idx in block.rows[r]}
         # freeze F on the previous depth
         for (i, parent), img in pending_f.items():
             f_cols[parent][i] = img

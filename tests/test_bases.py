@@ -8,7 +8,7 @@ from qrmat.bases import (Frame, GlobalBasis,
                          compute_global_basis, cross_validate_tensor_crystal,
                          crystal_graph, highest_weight_set,
                          kashiwara_operators, signature_orientation,
-                         symmetric_completion, tensor_crystal)
+                         tensor_crystal)
 from qrmat.cartan import make_cartan
 from qrmat.linalg import v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement, Q, QLaurent
@@ -161,6 +161,30 @@ def test_frame_echelon_prefers_dominant_vector():
     assert fr.residue(fr.coords({1: ONE})) == (Fraction(0), Fraction(1))
 
 
+def test_frame_inverts_its_matrix_once(monkeypatch):
+    calls = []
+    real = bases.inverse
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(bases, "inverse", counting)
+    v1 = {0: ONE, 1: Q}
+    v2 = {1: ONE}
+    fr = Frame([0, 1], [v1, v2])
+    assert fr.coords(v1) == [ONE, 0]
+    assert fr.coords_many([v2, {0: ONE}]) == [[0, ONE], [ONE, -Q]]
+    assert fr.coords({1: Q}) == [0, Q]
+    assert len(calls) == 1
+
+
+def test_frame_rejects_dependent_vectors():
+    fr = Frame([0, 1], [{0: ONE, 1: ONE}, {0: Q, 1: Q}])
+    with pytest.raises(InternalConsistencyError):
+        fr.coords({0: ONE})
+
+
 # -- global bases ------------------------------------------------------------
 
 
@@ -236,15 +260,6 @@ def test_global_basis_detects_tampered_element():
     bad.elements[3] = v_scale(gb.elements[3], fe([(1, 1)]))  # q-stretch
     with pytest.raises(InternalConsistencyError):
         bases.verify_global_basis(bad)
-
-
-def test_symmetric_completion_fixes_symmetric_scalars():
-    f = fe([(2, 3), (0, 1), (-2, 3)])
-    assert symmetric_completion(f) == f
-    g = fe([(1, 5), (0, 2)])
-    assert symmetric_completion(g) == fe([(1, 5), (0, 2), (-1, 5)])
-    with pytest.raises(ValueError):
-        symmetric_completion(ONE / fe([(0, 1), (1, 1)]))
 
 
 # -- tensor crystals ---------------------------------------------------------

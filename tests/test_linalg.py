@@ -1,23 +1,27 @@
-"""Exact sparse solvers: checked against their own defining equations."""
+"""Exact sparse solvers: checked against their own defining equations and
+against a plain dense reduced row echelon form."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrmat.linalg import (
+    Echelon,
     SparseMatrix,
-    coords_in_basis,
     inverse,
     kernel,
     rank,
+    rref,
     solve,
     solve_many,
-    solve_unique,
     v_eq,
     v_is_zero,
     v_sub,
 )
-from qrmat.qscalar import FieldElement, ONE, QLaurent, ZERO
+from qrmat.qscalar import FieldElement, ONE, Q, QLaurent, ZERO
 
 
 def rand_scalar(rng) -> FieldElement:
@@ -70,10 +74,11 @@ def test_inverse(seed):
     assert (ainv @ a).is_identity()
 
 
-def test_solve_unique_flags_degeneracy():
+def test_degenerate_and_inconsistent_systems_are_flagged():
     a = SparseMatrix.from_triplets(2, 2, [(0, 0, ONE), (1, 0, ONE)])
+    assert kernel(a) == [{1: ONE}]  # a solution would not be unique
     with pytest.raises(ValueError):
-        solve_unique(a, {0: ONE, 1: ONE})  # kernel contains e_1
+        inverse(a)
     assert solve(a, {0: ONE, 1: -ONE}) is None  # inconsistent
 
 
@@ -85,14 +90,14 @@ def test_solve_many_mixed():
 
 
 def test_coords_in_basis():
-    basis = [{0: ONE, 1: ONE}, {1: ONE}]
-    c = coords_in_basis(basis, {0: ONE + ONE, 1: ONE}, dim=3)
+    basis = SparseMatrix.from_columns([{0: ONE, 1: ONE}, {1: ONE}], 3)
+    c = solve(basis, {0: ONE + ONE, 1: ONE})
     assert c is not None
     two = ONE + ONE
     recon = v_sub({0: two, 1: ONE},
                   {k: v for k, v in ((0, c.get(0, ZERO)), (1, c.get(0, ZERO) + c.get(1, ZERO))) if not v.is_zero()})
     assert v_is_zero(recon)
-    assert coords_in_basis(basis, {2: ONE}, dim=3) is None
+    assert solve(basis, {2: ONE}) is None
 
 
 def test_matrix_algebra_shapes():
@@ -104,3 +109,95 @@ def test_matrix_algebra_shapes():
         b @ b
     trips = b.to_triplets()
     assert trips == sorted(trips, key=lambda t: (t[0], t[1]))
+
+
+# -- the elimination core against a dense oracle --------------------------------
+
+def dense_rref(a: SparseMatrix, ncols: int):
+    """Textbook Gauss-Jordan on a dense copy, first nonzero entry as pivot."""
+    m = [[a.entry(i, j) for j in range(a.ncols)] for i in range(a.nrows)]
+    pivots, r = [], 0
+    for col in range(ncols):
+        i = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = m[r][col].inv()
+        m[r] = [x * inv for x in m[r]]
+        for k in range(len(m)):
+            if k != r and m[k][col]:
+                f = m[k][col]
+                m[k] = [x - f * y for x, y in zip(m[k], m[r])]
+        pivots.append(col)
+        r += 1
+    return m, pivots
+
+
+def laurent(pairs):
+    return QLaurent([(e, Fraction(c, 2)) for e, c in pairs])
+
+
+small_laurent = st.lists(st.tuples(st.integers(-2, 2), st.integers(-3, 3)),
+                         max_size=2).map(laurent)
+scalars = st.one_of(
+    st.just(ZERO),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3).map(
+        FieldElement.from_fraction),
+    small_laurent.map(FieldElement),
+    st.tuples(small_laurent, small_laurent.filter(bool)).map(
+        lambda nd: FieldElement(*nd)),
+)
+
+
+@st.composite
+def matrices(draw, square=False):
+    n = draw(st.integers(1, 4))
+    m = n if square else draw(st.integers(1, 4))
+    rows = {i: {j: draw(scalars) for j in range(m)} for i in range(n)}
+    return SparseMatrix(n, m, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_core_matches_dense_rref(a, data):
+    dense, dpiv = dense_rref(a, a.ncols)
+    pivots, rest = rref([a.rows.get(i, {}) for i in range(a.nrows)], a.ncols)
+    assert list(pivots) == dpiv and rank(a) == len(dpiv) and not rest
+    for r, col in enumerate(dpiv):
+        assert pivots[col] == {j: x for j, x in enumerate(dense[r]) if x}
+    ker = kernel(a)
+    assert rank(a) + len(ker) == a.ncols
+    for k in ker:
+        assert v_is_zero(a.apply(k))
+    b = {i: data.draw(scalars) for i in range(a.nrows)}
+    b = {i: x for i, x in b.items() if x}
+    aug = SparseMatrix(a.nrows, a.ncols + 1,
+                       {i: {**a.rows.get(i, {}), **({a.ncols: b[i]} if i in b else {})}
+                        for i in range(a.nrows)})
+    consistent = a.ncols not in dense_rref(aug, a.ncols + 1)[1]
+    x = solve(a, b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert v_eq(a.apply(x), b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(square=True))
+def test_inverse_inverts_or_flags_singular(a):
+    if rank(a) < a.nrows:
+        with pytest.raises(ValueError):
+            inverse(a)
+        return
+    assert (inverse(a) @ a).is_identity()
+
+
+def test_echelon_selects_in_order_and_schur_complement():
+    e = Echelon()
+    v = {0: ONE, 1: Q}
+    assert e.add(v) and not e.add({0: Q, 1: Q * Q}) and e.add({1: ONE})
+    assert len(e.rows) == 2 and not e.reduce({0: Q, 1: ONE})
+    # with a forced pivot a row is kept iff its Schur complement is nonzero:
+    # [[0, 1], [1, 0]] has the singular leading block [0]
+    g = Echelon()
+    assert not g.add({1: ONE}, pivot=0)
+    assert g.add({1: ONE}, pivot=1)

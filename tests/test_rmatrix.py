@@ -21,7 +21,7 @@ from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            gamma_system, identity_system, kron_matrix,
                            r_krls, r_matrix, r_oracle, r_theta,
                            scale_isotypic_block, theta_system,
-                           _solve_sparse_unique)
+                           _unique_solution)
 from qrmat.sysmorph import make_J, make_Tw0
 from qrmat.uqmod import (InternalConsistencyError, kron_vec,
                          make_irreducible, tensor)
@@ -407,7 +407,7 @@ def test_scale_isotypic_block_changes_exactly_one_block():
 def test_sparse_solver_unique_point():
     rows = [({0: ONE, 1: ONE}, qp(1)), ({1: ONE}, qp(2)),
             ({0: ONE, 1: ONE}, qp(1))]
-    x = _solve_sparse_unique(rows, 2)
+    x = _unique_solution(rows, 2)
     assert x[1] == qp(2)
     assert x[0] == qp(1) - qp(2)
 
@@ -415,15 +415,15 @@ def test_sparse_solver_unique_point():
 def test_sparse_solver_rejects_inconsistent_system():
     rows = [({0: ONE}, ONE), ({0: ONE}, qp(1))]
     with pytest.raises(InternalConsistencyError):
-        _solve_sparse_unique(rows, 1)
+        _unique_solution(rows, 1)
 
 
 def test_sparse_solver_rejects_underdetermined_system():
     with pytest.raises(InternalConsistencyError):
-        _solve_sparse_unique([({0: ONE, 1: ONE}, ONE)], 2)
+        _unique_solution([({0: ONE, 1: ONE}, ONE)], 2)
 
 
 def test_sparse_solver_rejects_zero_rhs_mismatch():
     rows = [({0: ONE}, ONE), ({}, qp(1))]
     with pytest.raises(InternalConsistencyError):
-        _solve_sparse_unique(rows, 1)
+        _unique_solution(rows, 1)

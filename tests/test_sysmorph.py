@@ -1,5 +1,6 @@
 """Transported morphisms: bar, theta, gamma, J, T_w0, braid operators."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -269,6 +270,17 @@ def test_compose_tracks_bar_linearity():
     v = {2: qp(3)}
     assert v_eq(theta.compose(J).apply(v), theta.apply(J.apply(v)))
     assert v_eq(J.compose(theta).apply(v), J.apply(theta.apply(v)))
+
+
+def test_inverse_is_kept_on_the_map():
+    m = module_of("A1", (2,))
+    gamma = gamma_of(m)
+    assert gamma.inverse() is gamma.inverse()
+    # the map alone holds its inverse, so dropping the map frees both
+    tmap = TransportedMap(m, make_J(m).matrix.scale(qp(1)), False, "qJ")
+    ref = weakref.ref(tmap.inverse())
+    del tmap
+    assert ref() is None
 
 
 def test_bar_linear_inverse_inverts_pointwise():
