@@ -174,11 +174,13 @@ def test_core_matches_dense_rref(a, data):
     aug = SparseMatrix(a.nrows, a.ncols + 1,
                        {i: {**a.rows.get(i, {}), **({a.ncols: b[i]} if i in b else {})}
                         for i in range(a.nrows)})
-    consistent = a.ncols not in dense_rref(aug, a.ncols + 1)[1]
+    daug, apiv = dense_rref(aug, a.ncols + 1)
     x = solve(a, b)
-    assert (x is not None) == consistent
+    assert (x is None) == (a.ncols in apiv)
     if x is not None:
         assert v_eq(a.apply(x), b)
+        assert x == {col: daug[r][a.ncols] for r, col in enumerate(apiv)
+                     if daug[r][a.ncols]}
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,13 +193,29 @@ def test_inverse_inverts_or_flags_singular(a):
     assert (inverse(a) @ a).is_identity()
 
 
-def test_echelon_selects_in_order_and_schur_complement():
+def test_echelon_keeps_the_first_independent_vectors():
     e = Echelon()
-    v = {0: ONE, 1: Q}
-    assert e.add(v) and not e.add({0: Q, 1: Q * Q}) and e.add({1: ONE})
+    assert e.add({0: ONE, 1: Q}) and not e.add({0: Q, 1: Q * Q})
+    assert e.add({1: ONE})
     assert len(e.rows) == 2 and not e.reduce({0: Q, 1: ONE})
-    # with a forced pivot a row is kept iff its Schur complement is nonzero:
-    # [[0, 1], [1, 0]] has the singular leading block [0]
-    g = Echelon()
-    assert not g.add({1: ONE}, pivot=0)
-    assert g.add({1: ONE}, pivot=1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(square=True))
+def test_schur_selection_matches_the_principal_rank_test(g):
+    # the greedy rule of make_irreducible: keep c iff the principal block of
+    # the kept candidates and c is nonsingular
+    kept = []
+    for c in range(g.nrows):
+        if rank(g.restrict(kept + [c], kept + [c])) == len(kept) + 1:
+            kept.append(c)
+    block = Echelon()
+    assert [c for c in range(g.nrows)
+            if block.add(g.rows.get(c, {}), pivot=c)] == kept
+    # the kept rows then hold G_S^-1 times each column of g
+    for c in range(g.nrows):
+        if c not in kept and kept:
+            want = solve(g.restrict(kept, kept),
+                         {r: g.entry(s, c) for r, s in enumerate(kept)})
+            assert want == {r: block.rows[s][c] for r, s in enumerate(kept)
+                            if c in block.rows[s]}
