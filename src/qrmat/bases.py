@@ -20,7 +20,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, inverse, kernel, solve, solve_many,
+from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
                      v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
@@ -126,9 +126,15 @@ class Frame:
 # Kashiwara operators via i-string decomposition
 # ---------------------------------------------------------------------------
 
-def string_chains(m: Module, i: int) -> List[List[Vec]]:
+StringFrames = Dict[WeightT, Tuple[List[Tuple[int, int]], SparseMatrix]]
+
+
+def string_chains(m: Module, i: int
+                  ) -> Tuple[List[List[Vec]], StringFrames]:
     """i-string decomposition of m: chains [u, F_i^(1) u, ..., F_i^(mstr) u]
-    over vectors u with E_i u = 0, spanning every weight space.
+    over vectors u with E_i u = 0, spanning every weight space, and per
+    weight space the (chain, n) of its string members with the inverse of
+    their coordinate matrix, factored once and kept with the chains.
 
     The chain through a head of weight wt must have length <H_i, wt> + 1
     exactly; anything else means the module is not integrable and raises.
@@ -159,8 +165,28 @@ def string_chains(m: Module, i: int) -> List[List[Vec]]:
                     f"i-string through weight {wt} does not have length "
                     f"{mstr + 1} for node {i + 1}")
             chains.append(chain)
-    cache[key] = chains
-    return chains
+    members: Dict[WeightT, List[Tuple[int, int]]] = {}
+    for c, chain in enumerate(chains):
+        for n, vec in enumerate(chain):
+            members.setdefault(m.weights[next(iter(vec))], []).append((c, n))
+    frames: StringFrames = {}
+    for wt, mems in members.items():
+        rows = m.weight_space(wt)
+        if len(mems) != len(rows):
+            raise InternalConsistencyError(
+                f"string decomposition of weight space {wt} for node {i + 1} "
+                f"has rank {len(mems)}, expected {len(rows)}")
+        pos = {r: t for t, r in enumerate(rows)}
+        smat = SparseMatrix.from_columns(
+            [{pos[r]: x for r, x in chains[c][n].items()} for c, n in mems],
+            len(rows))
+        try:
+            frames[wt] = (mems, inverse(smat))
+        except ValueError:
+            raise InternalConsistencyError(
+                f"string vectors do not span weight space {wt}") from None
+    cache[key] = chains, frames
+    return chains, frames
 
 
 def operator_from_strings(m: Module, i: int, image_fn) -> SparseMatrix:
@@ -172,35 +198,17 @@ def operator_from_strings(m: Module, i: int, image_fn) -> SparseMatrix:
     weight space.  The strings through each weight space must form a basis
     of it.
     """
-    by_weight: Dict[WeightT, List[Tuple[Vec, Vec]]] = {}
-    for chain in string_chains(m, i):
-        for n, vec in enumerate(chain):
-            wt = m.weights[next(iter(vec))]
-            by_weight.setdefault(wt, []).append((vec, image_fn(chain, n)))
-
+    chains, frames = string_chains(m, i)
     cols: List[Vec] = [{} for _ in range(m.dim)]
-    for wt, members in by_weight.items():
-        rows = m.weight_space(wt)
-        if len(members) != len(rows):
-            raise InternalConsistencyError(
-                f"string decomposition of weight space {wt} for node {i + 1} "
-                f"has rank {len(members)}, expected {len(rows)}")
-        pos = {r: t for t, r in enumerate(rows)}
-        smat = SparseMatrix.from_columns(
-            [{pos[r]: x for r, x in vec.items()} for vec, _ in members],
-            len(rows))
-        units = [{t: ONE} for t in range(len(rows))]
-        sols = solve_many(smat, units)
-        for t, sol in zip(range(len(rows)), sols):
-            if sol is None:
-                raise InternalConsistencyError(
-                    f"string vectors do not span weight space {wt}")
+    for wt, (members, inv) in frames.items():
+        images = [image_fn(chains[c], n) for c, n in members]
+        for t, r in enumerate(m.weight_space(wt)):
+            # column t of the inverse: the unit vector t in string members
             img: Vec = {}
-            for k, c in sol.items():
-                target = members[k][1]
-                if target:
-                    img = v_add(img, v_scale(target, c))
-            cols[rows[t]] = img
+            for k, x in inv.column(t).items():
+                if images[k]:
+                    img = v_add(img, v_scale(images[k], x))
+            cols[r] = img
     return SparseMatrix.from_columns(cols, m.dim)
 
 
@@ -482,10 +490,8 @@ class GlobalBasis:
         self.hw_vec = dict(hw_vec)
         self.bar_scalar = bar_scalar
         self.monomial_words = list(monomial_words)
-        self.change = SparseMatrix.from_columns(self.elements, module.dim)
-        try:
-            self.change_inv = inverse(self.change)
-        except ValueError:
+        if rank(SparseMatrix.from_columns(self.elements, module.dim)) \
+                != module.dim:
             raise InternalConsistencyError(
                 "global basis elements are linearly dependent")
         self.hw_vertex = 0
@@ -498,9 +504,6 @@ class GlobalBasis:
     def bar(self, v: Vec) -> Vec:
         """The transported bar involution of the module."""
         return v_scale(v_bar(v), self.bar_scalar)
-
-    def element(self, v: int) -> Vec:
-        return dict(self.elements[v])
 
     def to_json_obj(self) -> dict:
         return {
@@ -1006,17 +1009,14 @@ def highest_weight_set(vlam: Module, bmu: GlobalBasis, nu: Sequence[int]
 
     tm = tensor(vlam, bmu.module)
     dec = isotypic_decomposition(tm)
-    comps = [k for k, comp in enumerate(dec.components) if comp.nu == nu]
+    comps = dec.block(nu)
     if len(comps) != len(out):
         raise InternalConsistencyError(
             f"|S^{nu}| = {len(out)} but the isotypic multiplicity is "
             f"{len(comps)}")
     for b in out:
         vec = kron_vec(vlam.hw_vector(), bmu.elements[b], bmu.module.dim)
-        proj: Vec = {}
-        for k in comps:
-            proj = v_add(proj, dec.project(vec, k))
-        if v_is_zero(proj):
+        if v_is_zero(dec.project(vec, *comps)):
             raise InternalConsistencyError(
                 f"crystal predicts vertex {b} in S^{nu} but the isotypic "
                 f"projection vanishes")

@@ -93,11 +93,6 @@ class QLaurent:
             return _L_ZERO
         return _raw(e.denominator, c.denominator, ((e.numerator, c.numerator),))
 
-    @staticmethod
-    def from_pairs(s: int, k: int, pairs: Iterable[Tuple[int, int]]) -> "QLaurent":
-        """sum (c/k) q^(e/s) over int pairs ascending in e with c nonzero."""
-        return _make(s, k, tuple(pairs))
-
     # -- predicates and views ------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -24,34 +24,30 @@ scaling independence) report counterexamples with both sides' values.
 Every built object has one owner and lives as long as it does.  The
 Cartan datum owns each V_nu (uqmod.make_irreducible), and a module owns
 its crystal, global basis and its tensor products with right factors.  A
-based module owns its transported Theta, Gamma and bar (theta_on,
-gamma_on, bar_on) and, weakly keyed by the right factor, its based tensor
-products; a based tensor product owns its braiding.  Nothing is keyed by
-object identity at module level, so objects a caller drops are freed.
+based module owns the maps of every system transported on it (system_on,
+keyed by the system's name: Theta, Gamma, bar) and, weakly keyed by the
+right factor, its based tensor products; a based tensor product owns its
+braiding.  Nothing is keyed by object identity at module level, so
+objects a caller drops are freed.
 """
 
 import json
 import weakref
-from fractions import Fraction
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
 from .cartan import CartanDatum
 from .linalg import (SparseMatrix, Vec, inverse, rref, v_clean, v_eq,
                      v_is_zero, v_scale)
 from .qscalar import ONE, ZERO, FieldElement
-from .sysmorph import (TransportedMap, bar_spec, gamma_spec, k_2rho, make_J,
-                       make_Tw0, theta_spec, transport)
-from .uqmod import (InternalConsistencyError, IsotypicDecomposition, Module,
-                    isotypic_decomposition, kron_vec, make_irreducible,
-                    tensor)
+from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
+                       k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
+                       transport)
+from .uqmod import (InternalConsistencyError, Module, isotypic_decomposition,
+                    kron_vec, make_irreducible, tensor)
 
 WeightT = Tuple[int, ...]
-
-
-def _theta_exponent(cd: CartanDatum, nu: Sequence) -> Fraction:
-    return -cd.bilinear(nu, nu) / 2 + cd.bilinear(nu, cd.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ class BasedModule:
     def __init__(self, module: Module, components: List[BasedComponent]):
         self.module = module
         self.components = components
-        self._maps: Dict[tuple, TransportedMap] = {}
+        self._maps: Dict[str, TransportedMap] = {}
         # based tensor products with this left factor, weakly keyed by the
         # right factor so that each dies with either of its factors
         self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -129,18 +125,6 @@ def based_irreducible(m: Module, gb: Optional[GlobalBasis] = None
     comp = BasedComponent(m, nu, gb.hw_vec, m, gb,
                           embed=SparseMatrix.identity(m.dim))
     return BasedModule(m, [comp])
-
-
-def _project_block(dec: IsotypicDecomposition, v: Vec, nu: WeightT) -> Vec:
-    """Canonical projection onto the nu-isotypic block along the others."""
-    coords = dec.change_inv.apply(v)
-    kept: Vec = {}
-    for k, (lo, hi) in enumerate(dec.slices):
-        if dec.components[k].nu == nu:
-            for t, c in coords.items():
-                if lo <= t < hi:
-                    kept[t] = c
-    return v_clean(dec.change.apply(kept))
 
 
 def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
@@ -173,7 +157,7 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
                 nu = tuple(int(x) for x in pair.weight(enc))
                 x = kron_vec(lcomp.hw_vec, rcomp.basis_element(b),
                              br.module.dim)
-                h = _project_block(dec, x, nu)
+                h = dec.project(x, *dec.block(nu))
                 if v_is_zero(h):
                     raise InternalConsistencyError(
                         f"isotypic projection of the predicted pin for "
@@ -204,39 +188,17 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
 # Transported systems on based modules
 # ---------------------------------------------------------------------------
 
-def theta_on(bm: BasedModule, wrong_sign: bool = False) -> TransportedMap:
-    """Theta of a based module: bar-linear, each summand pin is an
-    eigenvector with eigenvalue q^(-(nu,nu)/2 + (nu,rho)).
-
-    wrong_sign flips the exponent to +(nu,nu)/2 - (nu,rho); this still
-    transports (the flip is a per-summand scalar twist) and exists only as
-    a fault to inject in negative controls.
-    """
-    key = ("theta", wrong_sign)
-    if key not in bm._maps:
-        srcs, dsts = [], []
-        for c in bm.components:
-            e = _theta_exponent(bm.cartan, c.nu)
-            if wrong_sign:
-                e = -e
-            srcs.append(c.hw_vec)
-            dsts.append(v_scale(c.hw_vec, FieldElement.q_power(e)))
-        tmap = transport(bm.module, theta_spec(), srcs, dsts)
-        tmap.provenance = "theta" + ("-wrong-sign" if wrong_sign else "")
-        bm._maps[key] = tmap
-    return bm._maps[key]
-
-
-def gamma_on(bm: BasedModule) -> TransportedMap:
-    """Gamma of a based module: each summand pin maps to the lowest global
-    basis element of its summand."""
-    if ("gamma",) not in bm._maps:
-        srcs = [c.hw_vec for c in bm.components]
-        dsts = [c.lowest_element() for c in bm.components]
-        tmap = transport(bm.module, gamma_spec(), srcs, dsts)
-        tmap.provenance = "gamma"
-        bm._maps[("gamma",)] = tmap
-    return bm._maps[("gamma",)]
+def system_on(bm: BasedModule, spec: MorphismSpec) -> TransportedMap:
+    """The map of the system spec on a based module: transported from each
+    summand pin to spec.pin of that summand, and kept on the based module
+    under the system's name."""
+    tmap = bm._maps.get(spec.name)
+    if tmap is None:
+        tmap = transport(bm.module, spec,
+                         [c.hw_vec for c in bm.components],
+                         [spec.pin(c) for c in bm.components])
+        bm._maps[spec.name] = tmap
+    return tmap
 
 
 def tensor_of_maps(t1: TransportedMap, t2: TransportedMap,
@@ -364,13 +326,12 @@ def _pair_weight_diag(big: Module, ml: Module, mr: Module) -> SparseMatrix:
     return SparseMatrix(big.dim, big.dim, rows)
 
 
-def _conjugated(build: Callable[[BasedModule], TransportedMap],
-                bl: BasedModule, br: BasedModule, what: str
-                ) -> Tuple[BasedModule, SparseMatrix]:
+def _conjugated(spec: MorphismSpec, bl: BasedModule, br: BasedModule,
+                what: str) -> Tuple[BasedModule, SparseMatrix]:
     """The based tensor product and (x_V^-1 (x) x_W^-1) o x_VW for the
-    system x = build, which must come out q-linear."""
+    system x = spec, which must come out q-linear."""
     bt = based_tensor(bl, br)
-    xv, xw, xt = build(bl), build(br), build(bt)
+    xv, xw, xt = (system_on(bm, spec) for bm in (bl, br, bt))
     comp = tensor_of_maps(xv.inverse(), xw.inverse(), bt.module).compose(xt)
     if comp.bar_linear:
         raise InternalConsistencyError(f"{what} composite is not q-linear")
@@ -381,8 +342,7 @@ def r_theta(bl: BasedModule, br: BasedModule,
             wrong_sign: bool = False) -> RMatrixResult:
     """(Theta^-1 (x) Theta^-1) Delta(Theta): the composite of bar-linear
     maps, hence an honest q-linear matrix."""
-    _, mat = _conjugated(lambda bm: theta_on(bm, wrong_sign), bl, br,
-                         "Theta")
+    _, mat = _conjugated(theta_spec(wrong_sign), bl, br, "Theta")
     return RMatrixResult(mat, "theta", bl, br)
 
 
@@ -433,8 +393,6 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     wv = tensor(mr, ml)
     cd = big.cartan
     dl, dr = ml.dim, mr.dim
-    diag = [cd.bilinear(ml.weights[t // dr], mr.weights[t % dr])
-            for t in range(big.dim)]
 
     by_total: Dict[WeightT, List[int]] = {}
     for t in range(big.dim):
@@ -446,13 +404,10 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
             high = ml.weights[s // dr]
             if high != low and cd.dominance_leq(low, high):
                 unknowns.append((s, t))
-    uidx = {st: k for k, st in enumerate(unknowns)}
 
     p = flip_matrix(dl, dr)
     p_inv = flip_matrix(dr, dl)
-    d_mat = SparseMatrix(big.dim, big.dim,
-                         {t: {t: FieldElement.q_power(diag[t])}
-                          for t in range(big.dim)})
+    d_mat = _pair_weight_diag(big, ml, mr)
 
     rows: Dict[tuple, Dict[int, FieldElement]] = {}
     rhs: Dict[tuple, FieldElement] = {}
@@ -476,8 +431,7 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
                 rhs.get(key, ZERO)) for key in sorted(rows)]
     x = _unique_solution(system, len(unknowns))
 
-    out_rows: Dict[int, Dict[int, FieldElement]] = {
-        t: {t: FieldElement.q_power(diag[t])} for t in range(big.dim)}
+    out_rows = {t: dict(row) for t, row in d_mat.rows.items()}
     for k, (s, t) in enumerate(unknowns):
         if not x[k].is_zero():
             out_rows.setdefault(s, {})[t] = x[k]
@@ -507,36 +461,6 @@ def r_matrix(bl: BasedModule, br: BasedModule,
 # Commutors
 # ---------------------------------------------------------------------------
 
-class MorphismSystem:
-    """A natural system of module maps indexed by based modules."""
-
-    def __init__(self, name: str, comultiplicativity: str,
-                 build: Callable[[BasedModule], TransportedMap]):
-        if comultiplicativity not in ("anti", "auto"):
-            raise ValueError("comultiplicativity must be 'anti' or 'auto'")
-        self.name = name
-        self.comultiplicativity = comultiplicativity
-        self.build = build
-
-
-def theta_system() -> MorphismSystem:
-    return MorphismSystem("theta", "anti", theta_on)
-
-
-def gamma_system() -> MorphismSystem:
-    return MorphismSystem("gamma", "auto", gamma_on)
-
-
-def identity_system() -> MorphismSystem:
-    # a (trivially) coalgebra anti-automorphism reading: the commutor it
-    # induces is the bare Flip, which fails to intertwine on generic pairs
-    return MorphismSystem(
-        "identity", "anti",
-        lambda bm: TransportedMap(bm.module,
-                                  SparseMatrix.identity(bm.module.dim),
-                                  False, "identity"))
-
-
 class Commutor:
     """A verified isomorphism V (x) W -> W (x) V (or an endomorphism of
     V (x) W when no flip is involved)."""
@@ -550,14 +474,17 @@ class Commutor:
         self.flipped = flipped
 
 
-def build_commutor(system: MorphismSystem, bl: BasedModule,
+def build_commutor(spec: MorphismSpec, bl: BasedModule,
                    br: BasedModule) -> Commutor:
     """Flip o (xi_V^-1 (x) xi_W^-1) o xi_VW for a coalgebra
     anti-automorphism system; the same composite without the flip (an
     endomorphism of V (x) W) for a coalgebra automorphism system.  The
     result is verified to intertwine the module actions."""
-    bt, mat = _conjugated(system.build, bl, br, f"{system.name} commutor")
-    flipped = system.comultiplicativity == "anti"
+    if spec.comultiplicativity not in ("anti", "auto"):
+        raise ValueError(f"{spec.name} has no comultiplicativity, so it "
+                         f"induces no commutor")
+    bt, mat = _conjugated(spec, bl, br, f"{spec.name} commutor")
+    flipped = spec.comultiplicativity == "anti"
     if flipped:
         dst = tensor(br.module, bl.module)
         mat = flip_matrix(bl.module.dim, br.module.dim) @ mat
@@ -566,9 +493,9 @@ def build_commutor(system: MorphismSystem, bl: BasedModule,
     fails = _intertwiner_failures(mat, bt.module, dst)
     if fails:
         raise InternalConsistencyError(
-            f"{system.name} commutor does not intertwine the actions: "
+            f"{spec.name} commutor does not intertwine the actions: "
             + json.dumps(fails[0]))
-    return Commutor(mat, bt.module, dst, system.name, flipped)
+    return Commutor(mat, bt.module, dst, spec.name, flipped)
 
 
 def braiding(bl: BasedModule, br: BasedModule) -> Commutor:
@@ -576,7 +503,7 @@ def braiding(bl: BasedModule, br: BasedModule) -> Commutor:
     verified as an intertwiner and kept on the based tensor product."""
     bt = based_tensor(bl, br)
     if bt._braiding is None:
-        bt._braiding = build_commutor(theta_system(), bl, br)
+        bt._braiding = build_commutor(theta_spec(), bl, br)
     return bt._braiding
 
 
@@ -655,13 +582,14 @@ def check_scaling(bl: BasedModule, br: BasedModule) -> CheckReport:
     if redo_bytes != base_bytes:
         ces.append({"check": "rebuild determinism", "lhs": "differs",
                     "rhs": "expected identical serialization"})
-    theta_base = {"left": theta_on(bl), "right": theta_on(br)}
+    theta = theta_spec()
+    theta_base = {"left": system_on(bl, theta), "right": system_on(br, theta)}
     for z in RESCALE_COEFFS:
         twist = z / z.bar()
         for side in ("left", "right"):
             bl2 = _rescaled_factor(bl.module, z) if side == "left" else bl
             br2 = _rescaled_factor(br.module, z) if side == "right" else br
-            scaled = theta_on(bl2 if side == "left" else br2)
+            scaled = system_on(bl2 if side == "left" else br2, theta)
             want = theta_base[side].matrix.scale(twist)
             ces += _matrix_counterexamples(
                 f"theta component scaling z={z} {side}",
@@ -678,10 +606,10 @@ def scale_isotypic_block(mat: SparseMatrix, big: Module, index: int,
                          z: FieldElement) -> SparseMatrix:
     """mat composed with scaling of one isotypic block: a fault injector."""
     dec = isotypic_decomposition(big)
-    nu = dec.components[index].nu
+    block = dec.block(dec.components[index].nu)
     rows = {}
     for k, (lo, hi) in enumerate(dec.slices):
-        c = z if dec.components[k].nu == nu else ONE
+        c = z if k in block else ONE
         for t in range(lo, hi):
             rows[t] = {t: c}
     twist = dec.change @ SparseMatrix(big.dim, big.dim, rows) @ dec.change_inv
@@ -759,8 +687,9 @@ def check_gamma_lemma(bl: BasedModule, br: BasedModule) -> CheckReport:
     """(Gamma_V (x) Gamma_W) o Gamma_{V (x) W}^-1 acts as the identity."""
     t0 = perf_counter()
     bt = based_tensor(bl, br)
-    comp = tensor_of_maps(gamma_on(bl), gamma_on(br),
-                          bt.module).compose(gamma_on(bt).inverse())
+    gamma = gamma_spec()
+    comp = tensor_of_maps(system_on(bl, gamma), system_on(br, gamma),
+                          bt.module).compose(system_on(bt, gamma).inverse())
     ces: List[dict] = []
     if comp.bar_linear:
         ces.append({"check": "gamma composite linearity",
@@ -770,17 +699,6 @@ def check_gamma_lemma(bl: BasedModule, br: BasedModule) -> CheckReport:
             "(Gamma x Gamma) Gamma_VW^-1 vs identity", comp.matrix,
             SparseMatrix.identity(bt.module.dim))
     return _report("gamma-lemma", t0, ces)
-
-
-def bar_on(bm: BasedModule) -> TransportedMap:
-    """The bar involution of a based module: bar-linear, fixes every pin
-    (hence every global basis element)."""
-    if ("bar",) not in bm._maps:
-        srcs = [c.hw_vec for c in bm.components]
-        tmap = transport(bm.module, bar_spec(), srcs, srcs)
-        tmap.provenance = "bar"
-        bm._maps[("bar",)] = tmap
-    return bm._maps[("bar",)]
 
 
 def check_lemma_identities(bm: BasedModule) -> CheckReport:
@@ -798,9 +716,9 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
     t0 = perf_counter()
     m = bm.module
     cd = bm.cartan
-    theta = theta_on(bm)
-    gamma = gamma_on(bm)
-    bar = bar_on(bm)
+    theta = system_on(bm, theta_spec())
+    gamma = system_on(bm, gamma_spec())
+    bar = system_on(bm, bar_spec())
     tw0 = make_Tw0(m, "braid-product")
     jmap = make_J(m)
     ces: List[dict] = []
@@ -827,7 +745,7 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
         for vertex in range(comp.ref_gb.crystal.size):
             b = comp.basis_element(vertex)
             mu = m.weights[next(iter(b))]
-            want = v_scale(b, FieldElement.q_power(_theta_exponent(cd, mu)))
+            want = v_scale(b, FieldElement.q_power(theta_exponent(cd, mu)))
             got = theta.apply(b)
             if not v_eq(got, want):
                 ces.append({"check": "Theta global basis eigenvalue",

@@ -1,11 +1,14 @@
 """Module endomorphisms transported from algebra morphisms.
 
-A MorphismSpec records how an algebra morphism C acts on the generators
-E_i, F_i, K_i and whether it is q-linear or bar-linear.  A TransportedMap is
-the unique endomorphism T of a module satisfying T(X v) = C(X) T(v) for all
-generators X, pinned by its value on one cyclic vector per component.
-transport propagates the pins along E- and F-words, solves for the matrix,
-and reverifies the compatibility square on every generator before returning.
+A MorphismSpec is a whole system of weight-preserving endomorphisms, one
+per based module: how an algebra morphism C acts on the generators E_i,
+F_i, K_i, whether it is q-linear or bar-linear, how it meets the
+coproduct, and the value it takes on each summand's highest weight pin.
+A TransportedMap is the unique endomorphism T of a module satisfying
+T(X v) = C(X) T(v) for all generators X, pinned by its value on one cyclic
+vector per component.  transport propagates the pins along E- and F-words,
+solves for the matrix, and reverifies the compatibility square on every
+generator before returning.
 
 Bar-linear maps are stored as (matrix, flag) with the convention "apply
 coefficient-wise bar first, then the matrix"; composing two bar-linear maps
@@ -18,7 +21,7 @@ and cached per Cartan matrix.
 """
 
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .bases import GlobalBasis, operator_from_strings
 from .cartan import CartanDatum
@@ -29,27 +32,32 @@ from .uqmod import (InternalConsistencyError, Module,
                     ModuleConstructionError, make_irreducible)
 
 ImageFn = Callable[[Module, int], SparseMatrix]
+# value of the system on a based summand's highest weight pin; the summand
+# (rmatrix.BasedComponent) carries its module, weight nu and pin hw_vec
+PinFn = Callable[[Any], Vec]
 
 
 class MorphismSpec:
-    """Generator images of an algebra morphism, with linearity metadata.
+    """A system of module maps: generator images of an algebra morphism,
+    its linearity, its pin values and its coproduct behaviour.
 
-    comultiplicativity is "auto", "anti", or None; it is not used here but
-    downstream braiding code reads it to decide whether a commutor built
-    from this morphism needs the tensor flip.
+    pin gives the map's value on a based summand's highest weight pin, or
+    is None for a morphism transported only from explicit pins.
+    comultiplicativity is "auto", "anti", or None: build_commutor reads it
+    to decide whether the commutor of the system needs the tensor flip.
     """
 
     def __init__(self, name: str, bar_linear: bool,
                  e_image: ImageFn, f_image: ImageFn,
                  k_image: Callable[[Module, int, int], SparseMatrix],
-                 multiplicativity: str = "automorphism",
+                 pin: Optional[PinFn] = None,
                  comultiplicativity: Optional[str] = None):
         self.name = name
         self.bar_linear = bar_linear
         self.e_image = e_image
         self.f_image = f_image
         self.k_image = k_image
-        self.multiplicativity = multiplicativity
+        self.pin = pin
         self.comultiplicativity = comultiplicativity
 
     def __repr__(self):
@@ -57,37 +65,65 @@ class MorphismSpec:
         return f"MorphismSpec({self.name}, {kind})"
 
 
+def _hw_pin(c) -> Vec:
+    return c.hw_vec
+
+
 def identity_spec() -> MorphismSpec:
+    """The identity system; it fixes every pin."""
     return MorphismSpec(
         "identity", False,
         lambda m, i: m.E[i],
         lambda m, i: m.F[i],
-        lambda m, i, p: m.k_i(i, p))
+        lambda m, i, p: m.k_i(i, p),
+        pin=_hw_pin)
 
 
 def bar_spec() -> MorphismSpec:
-    """E_i -> E_i, F_i -> F_i, K_i -> K_i^-1, bar-linear."""
+    """E_i -> E_i, F_i -> F_i, K_i -> K_i^-1, bar-linear; the bar
+    involution of a based module fixes every pin (hence every global basis
+    element)."""
     return MorphismSpec(
         "bar", True,
         lambda m, i: m.E[i],
         lambda m, i: m.F[i],
-        lambda m, i, p: m.k_i(i, -p))
+        lambda m, i, p: m.k_i(i, -p),
+        pin=_hw_pin)
 
 
-def theta_spec() -> MorphismSpec:
+def theta_exponent(cd: CartanDatum, nu: Sequence) -> Fraction:
+    """-(nu,nu)/2 + (nu,rho): Theta's eigenvalue exponent on weight nu."""
+    return -cd.bilinear(nu, nu) / 2 + cd.bilinear(nu, cd.rho)
+
+
+def theta_spec(wrong_sign: bool = False) -> MorphismSpec:
     """E_i -> E_i K_i^-1, F_i -> K_i F_i, K_i -> K_i^-1; bar-linear algebra
-    involution and coalgebra anti-involution."""
+    involution and coalgebra anti-involution.  Each summand pin is an
+    eigenvector with eigenvalue q^(-(nu,nu)/2 + (nu,rho)).
+
+    wrong_sign flips the exponent to +(nu,nu)/2 - (nu,rho); this still
+    transports (the flip is a per-summand scalar twist) and exists only as
+    a fault to inject in negative controls, kept apart from the honest
+    Theta under its own name.
+    """
+    sign = -1 if wrong_sign else 1
+
+    def pin(c):
+        e = sign * theta_exponent(c.module.cartan, c.nu)
+        return v_scale(c.hw_vec, FieldElement.q_power(e))
+
     return MorphismSpec(
-        "theta", True,
+        "theta-wrong-sign" if wrong_sign else "theta", True,
         lambda m, i: m.E[i] @ m.k_i(i, -1),
         lambda m, i: m.k_i(i, 1) @ m.F[i],
         lambda m, i, p: m.k_i(i, -p),
-        comultiplicativity="anti")
+        pin=pin, comultiplicativity="anti")
 
 
 def gamma_spec() -> MorphismSpec:
     """E_i -> -K_t F_t, F_i -> -E_t K_t^-1, K_i -> K_t with t = theta(i);
-    bar-linear Hopf algebra automorphism."""
+    bar-linear Hopf algebra automorphism.  Each summand pin maps to the
+    lowest global basis element of its summand."""
     def e_im(m, i):
         t = m.cartan.theta[i]
         return (m.k_i(t, 1) @ m.F[t]).scale(-ONE)
@@ -99,7 +135,7 @@ def gamma_spec() -> MorphismSpec:
     return MorphismSpec(
         "gamma", True, e_im, f_im,
         lambda m, i, p: m.k_i(m.cartan.theta[i], p),
-        comultiplicativity="auto")
+        pin=lambda c: c.lowest_element(), comultiplicativity="auto")
 
 
 def tw0_spec() -> MorphismSpec:
@@ -292,8 +328,8 @@ def transport(m: Module, spec: MorphismSpec,
 
 
 # ---------------------------------------------------------------------------
-# The weight-diagonal maps; Theta, Gamma and bar of a based module are
-# transported in rmatrix (theta_on, gamma_on, bar_on)
+# The weight-diagonal maps; a system with pins (Theta, Gamma, bar) is
+# transported on a based module by rmatrix.system_on
 # ---------------------------------------------------------------------------
 
 def make_J(m: Module) -> TransportedMap:

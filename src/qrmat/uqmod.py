@@ -490,12 +490,17 @@ class IsotypicDecomposition:
         except ValueError as exc:
             raise InternalConsistencyError("component bases are dependent") from exc
 
-    def project(self, v: Vec, comp_index: int) -> Vec:
-        """Projection onto one component along the others."""
-        lo, hi = self.slices[comp_index]
+    def block(self, nu: WeightT) -> List[int]:
+        """Indices of the components of highest weight nu."""
+        return [k for k, comp in enumerate(self.components) if comp.nu == nu]
+
+    def project(self, v: Vec, *comp_indices: int) -> Vec:
+        """Projection onto the given components along the others."""
+        spans = [self.slices[k] for k in comp_indices]
         coords = self.change_inv.apply(v)
-        kept = {k: c for k, c in coords.items() if lo <= k < hi}
-        return self.change.apply(kept)
+        kept = {t: c for t, c in coords.items()
+                if any(lo <= t < hi for lo, hi in spans)}
+        return v_clean(self.change.apply(kept))
 
 
 def _component_order_key(cd: CartanDatum, lam_top: WeightT):

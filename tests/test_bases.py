@@ -10,8 +10,9 @@ from qrmat.bases import (Frame, GlobalBasis,
                          kashiwara_operators, signature_orientation,
                          tensor_crystal)
 from qrmat.cartan import make_cartan
-from qrmat.linalg import v_clean, v_eq, v_scale
+from qrmat.linalg import inverse, v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement, Q, QLaurent
+from qrmat.sysmorph import BRAID_VARIANTS, braid_operator
 from qrmat.uqmod import (InternalConsistencyError,
                          ModuleConstructionError, make_irreducible,
                          tensor)
@@ -346,3 +347,40 @@ def test_highest_weight_set_vertices_carry_the_right_weight():
     lam = (1, 0)
     mu_b = gb.crystal.weight(b)
     assert tuple(a + c for a, c in zip(lam, mu_b)) == (0, 0)
+
+
+def test_global_basis_with_a_repeated_element_raises():
+    gb = compute_global_basis(make_irreducible(A2, (1, 0)))
+    elements = [gb.elements[0]] + gb.elements[:-1]
+    with pytest.raises(InternalConsistencyError, match="linearly dependent"):
+        GlobalBasis(gb.module, gb.crystal, elements, gb.hw_vec,
+                    gb.bar_scalar, gb.monomial_words)
+
+
+def test_string_matrix_is_factored_once_per_module_and_node(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a.nrows)
+        return inverse(a)
+
+    monkeypatch.setattr(bases, "inverse", counting)
+    m = make_irreducible(make_cartan("A2"), (1, 1))
+    n_weights = len(m.weight_multiplicities())
+    kashiwara_operators(m, 0)
+    assert len(calls) == n_weights
+    for variant in BRAID_VARIANTS:
+        braid_operator(m, 0, variant)
+    kashiwara_operators(m, 1)
+    assert len(calls) == 2 * n_weights
+
+
+def test_singular_string_matrix_raises(monkeypatch):
+    def singular(a):
+        raise ValueError("singular")
+
+    monkeypatch.setattr(bases, "inverse", singular)
+    m = make_irreducible(make_cartan("A1"), (2,))
+    with pytest.raises(InternalConsistencyError,
+                       match="string vectors do not span weight space"):
+        kashiwara_operators(m, 0)

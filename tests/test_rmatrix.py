@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qrmat import uqmod
+from qrmat import rmatrix, uqmod
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq
 from qrmat.qscalar import ONE, FieldElement
@@ -18,11 +18,11 @@ from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            check_hexagon, check_lemma_identities,
                            check_method_agreement, check_normalization,
                            check_scaling, check_ybe, flip_matrix,
-                           gamma_system, identity_system, kron_matrix,
-                           r_krls, r_matrix, r_oracle, r_theta,
-                           scale_isotypic_block, theta_system,
-                           _unique_solution)
-from qrmat.sysmorph import make_J, make_Tw0
+                           system_on,
+                           kron_matrix, r_krls, r_matrix, r_oracle, r_theta,
+                           scale_isotypic_block, _unique_solution)
+from qrmat.sysmorph import (bar_spec, gamma_spec, identity_spec, make_J,
+                            make_Tw0, theta_spec, transport)
 from qrmat.uqmod import (InternalConsistencyError, kron_vec,
                          make_irreducible, tensor)
 
@@ -246,7 +246,7 @@ def test_jtw0_conjugate_equals_r_theta():
 
 def test_theta_commutor_is_flip_after_r_theta():
     bl, br = based_of("A1", (1,)), based_of("A1", (2,))
-    c = build_commutor(theta_system(), bl, br)
+    c = build_commutor(theta_spec(), bl, br)
     assert c.flipped
     want = flip_matrix(bl.module.dim, br.module.dim) @ r_theta(bl, br).matrix
     assert c.matrix == want
@@ -255,15 +255,53 @@ def test_theta_commutor_is_flip_after_r_theta():
 
 def test_gamma_commutor_is_the_identity_endomorphism():
     bl, br = based_of("A1", (1,)), based_of("A1", (2,))
-    c = build_commutor(gamma_system(), bl, br)
+    c = build_commutor(gamma_spec(), bl, br)
     assert not c.flipped
     assert c.matrix == SparseMatrix.identity(bl.module.dim * br.module.dim)
 
 
 def test_identity_system_flip_fails_to_intertwine():
+    # a (trivially) coalgebra anti-automorphism reading: the commutor it
+    # induces is the bare Flip, which fails to intertwine on generic pairs
+    spec = identity_spec()
+    spec.comultiplicativity = "anti"
     with pytest.raises(InternalConsistencyError):
-        build_commutor(identity_system(), based_of("A1", (1,)),
-                       based_of("A1", (2,)))
+        build_commutor(spec, based_of("A1", (1,)), based_of("A1", (2,)))
+
+
+def test_commutor_wants_a_comultiplicativity():
+    # bar is a morphism with no coproduct reading, so no commutor
+    with pytest.raises(ValueError):
+        build_commutor(bar_spec(), based_of("A1", (1,)), based_of("A1", (2,)))
+
+
+# -- systems on based modules -------------------------------------------------
+
+
+def test_system_on_transports_once_and_keeps_the_map(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1].name)
+        return transport(*args)
+
+    monkeypatch.setattr(rmatrix, "transport", counting)
+    bm = based_irreducible(make_irreducible(A1, (2,)))
+    first = system_on(bm, theta_spec())
+    assert system_on(bm, theta_spec()) is first
+    assert calls == ["theta"]
+    assert system_on(bm, gamma_spec()) is not first
+    assert calls == ["theta", "gamma"]
+
+
+def test_wrong_sign_theta_is_kept_apart_from_the_honest_one():
+    bm = based_irreducible(make_irreducible(A1, (1,)))
+    honest = system_on(bm, theta_spec())
+    wrong = system_on(bm, theta_spec(wrong_sign=True))
+    assert wrong is not honest and wrong != honest
+    assert (honest.provenance, wrong.provenance) == ("theta",
+                                                     "theta-wrong-sign")
+    assert system_on(bm, theta_spec()) is honest
 
 
 # -- checkers: pass cases -----------------------------------------------------

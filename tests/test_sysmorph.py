@@ -9,10 +9,10 @@ from qrmat.bases import compute_global_basis
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement
-from qrmat.rmatrix import bar_on, based_irreducible, gamma_on, theta_on
-from qrmat.sysmorph import (TransportedMap, braid_operator,
+from qrmat.rmatrix import based_irreducible, system_on
+from qrmat.sysmorph import (TransportedMap, bar_spec, braid_operator,
                             braid_relations_hold, calibrate_braid_variant,
-                            identity_spec, j_spec, k_2rho,
+                            gamma_spec, identity_spec, j_spec, k_2rho,
                             make_J, make_Tw0, theta_spec,
                             transport, tw0_spec, verify_compatibility)
 from qrmat.uqmod import (InternalConsistencyError,
@@ -44,15 +44,15 @@ def gb_of(label, hw):
 
 
 def theta_of(m):
-    return theta_on(based_irreducible(m))
+    return system_on(based_irreducible(m), theta_spec())
 
 
 def gamma_of(m):
-    return gamma_on(based_irreducible(m))
+    return system_on(based_irreducible(m), gamma_spec())
 
 
 def bar_of(m):
-    return bar_on(based_irreducible(m))
+    return system_on(based_irreducible(m), bar_spec())
 
 
 def theta_pinned(m, z):
