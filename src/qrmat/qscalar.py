@@ -5,7 +5,7 @@
                   the (e, c) strictly ascending in e with every c nonzero, in
                   normal form gcd(s, all e) = gcd(k, all c) = 1 (s = k = 1 for
                   constants). Arithmetic never builds a Fraction; `terms`,
-                  `degree()`, `coeff()` and the like are Fraction views.
+                  `degree()` and the like are Fraction views.
   FieldElement -- quotient num/den of two QLaurent in canonical form: they
                   share no polynomial or monomial factor, and the top term of
                   den is exactly 1*q^0 (den is 1 plus negative powers).
@@ -113,10 +113,6 @@ class QLaurent:
     def valuation(self) -> Optional[Fraction]:
         """Bottom exponent, or None for the zero polynomial."""
         return Fraction(self.pairs[0][0], self.s) if self.pairs else None
-
-    def coeff(self, e: Rat) -> Fraction:
-        e = _rat(e) * self.s
-        return next((Fraction(c, self.k) for ee, c in self.pairs if ee == e), Fraction(0))
 
     # -- ring operations -----------------------------------------------------
 

@@ -24,6 +24,9 @@ scaling independence) report counterexamples with both sides' values.
 Every built object has one owner and lives as long as it does.  The
 Cartan datum owns each V_nu (uqmod.make_irreducible), and a module owns
 its crystal, global basis and its tensor products with right factors.  A
+summand of a based tensor product reads the global basis of its V_nu on
+first use (BasedComponent.ref_gb), so a summand basis that no request
+reads is neither built nor verified.  A
 based module owns the maps of every system transported on it (system_on,
 keyed by the system's name: Theta, Gamma, bar) and, weakly keyed by the
 right factor, its based tensor products; a based tensor product owns its
@@ -57,17 +60,28 @@ WeightT = Tuple[int, ...]
 class BasedComponent:
     """One irreducible summand: its weight, its highest global basis
     element inside the ambient module, and the intertwiner from the
-    abstract V_nu (basis-aligned with ref_gb) into the ambient module."""
+    abstract V_nu (basis-aligned with ref_gb) into the ambient module.
+
+    ref_gb, the global basis of V_nu, and embed are built on first read
+    unless given, and kept on the component; a summand whose basis no
+    request reads never builds or verifies it.
+    """
 
     def __init__(self, module: Module, nu: WeightT, hw_vec: Vec,
-                 ref: Module, ref_gb: GlobalBasis,
+                 ref: Module, ref_gb: Optional[GlobalBasis] = None,
                  embed: Optional[SparseMatrix] = None):
         self.module = module
         self.nu = tuple(int(x) for x in nu)
         self.hw_vec = hw_vec
         self.ref = ref
-        self.ref_gb = ref_gb
+        self._ref_gb = ref_gb
         self._embed = embed
+
+    @property
+    def ref_gb(self) -> GlobalBasis:
+        if self._ref_gb is None:
+            self._ref_gb = compute_global_basis(self.ref)
+        return self._ref_gb
 
     @property
     def embed(self) -> SparseMatrix:
@@ -166,9 +180,8 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
                     if not v_is_zero(big.E[i].apply(h)):
                         raise InternalConsistencyError(
                             "tensor pin is not a highest weight vector")
-                ref = make_irreducible(big.cartan, nu)
-                comps.append(BasedComponent(big, nu, h, ref,
-                                            compute_global_basis(ref)))
+                comps.append(BasedComponent(
+                    big, nu, h, make_irreducible(big.cartan, nu)))
     counts: Dict[WeightT, int] = {}
     for c in comps:
         counts[c.nu] = counts.get(c.nu, 0) + 1

@@ -7,8 +7,9 @@ coproduct, and the value it takes on each summand's highest weight pin.
 A TransportedMap is the unique endomorphism T of a module satisfying
 T(X v) = C(X) T(v) for all generators X, pinned by its value on one cyclic
 vector per component.  transport propagates the pins along E- and F-words,
-solves for the matrix, and reverifies the compatibility square on every
-generator before returning.
+solves for the matrix in one elimination that also checks every propagated
+pair, and reverifies the compatibility square on every generator before
+returning.
 
 Bar-linear maps are stored as (matrix, flag) with the convention "apply
 coefficient-wise bar first, then the matrix"; composing two bar-linear maps
@@ -271,25 +272,36 @@ def transport(m: Module, spec: MorphismSpec,
 
     Pins are propagated along E- and F-words (T(X x) = C(X) T(x)); the
     propagated pairs must span the module, which holds exactly when the pins
-    generate it (one cyclic vector per component).  The matrix is solved
-    from an independent subset of pairs and then verified against every
-    propagated pair, every pin, and the full compatibility square.
+    generate it (one cyclic vector per component).  Every pair enters one
+    incremental elimination as the row (source | target), with bar(source)
+    for a bar-linear spec and the target in columns dim + j.  Once the
+    sources span, the kept rows are (I | A^T); a pair whose source reduces
+    to zero but leaves a target residual is inconsistent and raises.  The
+    matrix is then verified against the full compatibility square.
     """
     pins = _normalize_pins(v0, w0)
     if not pins or any(v_is_zero(s) for s, _ in pins):
         raise ModuleConstructionError("transport wants nonzero pin sources")
     gens = [(m.E[i], spec.e_image(m, i)) for i in range(m.cartan.n)]
     gens += [(m.F[i], spec.f_image(m, i)) for i in range(m.cartan.n)]
-
+    dim = m.dim
+    kept = Echelon()
     pairs: List[Tuple[Vec, Vec]] = list(pins)
-    # the first independent pair sources, in order, are the basis subset
-    sources = Echelon()
-    chosen = [k for k, (src, _) in enumerate(pairs) if sources.add(src)]
+
+    def take(k: int) -> bool:
+        """Enter pair k; True when its source is new to the span."""
+        src, dst = pairs[k]
+        r = kept.reduce({**(v_bar(src) if spec.bar_linear else src),
+                         **{dim + j: x for j, x in dst.items()}})
+        if r and min(r) >= dim:
+            raise InternalConsistencyError(
+                f"transport of {spec.name} is inconsistent on propagated "
+                f"pair {k}")
+        return kept.add(r)
+
     frontier = list(range(len(pairs)))
-    while len(chosen) < m.dim:
-        if not frontier:
-            raise ModuleConstructionError(
-                "pins do not generate the module under the E/F action")
+    spanned = sum(take(k) for k in frontier)
+    while spanned < dim:
         nxt: List[int] = []
         for idx in frontier:
             src, dst = pairs[idx]
@@ -298,27 +310,18 @@ def transport(m: Module, spec: MorphismSpec,
                 if v_is_zero(s2):
                     continue
                 pairs.append((s2, v_clean(img.apply(dst))))
-                if sources.add(s2):
-                    chosen.append(len(pairs) - 1)
+                if take(len(pairs) - 1):
                     nxt.append(len(pairs) - 1)
-        if not nxt and len(chosen) < m.dim:
+        if not nxt:
             raise ModuleConstructionError(
                 "pins do not generate the module under the E/F action")
+        spanned += len(nxt)
         frontier = nxt
 
-    srcs = [v_bar(pairs[k][0]) if spec.bar_linear else pairs[k][0]
-            for k in chosen]
-    basis = SparseMatrix.from_columns(srcs, m.dim)
-    coeff = inverse(basis)
-    targets = SparseMatrix.from_columns([pairs[k][1] for k in chosen], m.dim)
-    a = targets @ coeff
-
-    tmap = TransportedMap(m, a, spec.bar_linear, spec.name)
-    for k, (src, dst) in enumerate(pairs):
-        if not v_eq(tmap.apply(src), dst):
-            raise InternalConsistencyError(
-                f"transport of {spec.name} is inconsistent on propagated "
-                f"pair {k}")
+    # kept row p is (e_p | column p of A)
+    cols = [{j - dim: x for j, x in kept.rows[p].items()} for p in range(dim)]
+    tmap = TransportedMap(m, SparseMatrix.from_columns(cols, dim),
+                          spec.bar_linear, spec.name)
     failures = verify_compatibility(tmap, spec)
     if failures:
         raise InternalConsistencyError(
@@ -475,10 +478,10 @@ def make_Tw0(m: Module, method: str = "braid-product",
     """T_w0: q-linear, sends the lowest global basis element to the highest.
 
     braid-product composes the calibrated T_i along the reduced word of w0
-    (intrinsic: works on any integrable module, tensor products included);
-    when a global basis is available the product is rescaled per component
-    onto the pin, which for the calibrated variant is a verified no-op.
-    transport pins C_{T_w0} at the lowest global basis element directly.
+    (intrinsic: works on any integrable module, tensor products included;
+    calibration checks the lowest-to-highest property on a probe module).
+    transport pins C_{T_w0} at the lowest global basis element of gb, or at
+    the given pins, directly.
     """
     spec = tw0_spec()
     if method == "transport":
@@ -491,24 +494,7 @@ def make_Tw0(m: Module, method: str = "braid-product",
         return tmap
     if method != "braid-product":
         raise ValueError(f"unknown T_w0 method {method!r}")
-    variant = calibrate_braid_variant(m.cartan)
-    mat = _braid_product(m, variant)
-    if gb is not None:
-        got = v_clean(mat.apply(gb.elements[gb.low_vertex]))
-        want = gb.hw_vec
-        ratio = None
-        for r, x in want.items():
-            if r not in got:
-                raise InternalConsistencyError(
-                    "braid product misses the T_w0 pin support")
-            ratio = got[r] / x
-            break
-        if not v_eq(got, v_scale(want, ratio)):
-            raise InternalConsistencyError(
-                "braid product does not map the lowest global basis element "
-                "onto the highest one")
-        if not (ratio - ONE).is_zero():
-            mat = mat.scale(ratio.inv())
+    mat = _braid_product(m, calibrate_braid_variant(m.cartan))
     tmap = TransportedMap(m, mat, False, "tw0-braid")
     failures = verify_compatibility(tmap, spec)
     if failures:

@@ -97,6 +97,23 @@ def test_pins_are_highest_weight_and_embeddings_intertwine():
         assert phi.column(0) == c.hw_vec
 
 
+def test_summand_global_bases_are_built_on_first_read(monkeypatch):
+    # r_theta reads only the summand pins; the lemma identities read every
+    # summand's basis (Gamma's pin and the Theta eigenvalue rows)
+    cd = make_cartan("B2")
+    bl = based_irreducible(make_irreducible(cd, (1, 0)))
+    br = based_irreducible(make_irreducible(cd, (0, 1)))
+    built = []
+    real = rmatrix.compute_global_basis
+    monkeypatch.setattr(rmatrix, "compute_global_basis",
+                        lambda m: built.append(m) or real(m))
+    r_theta(bl, br)
+    assert built == []
+    bt = based_tensor(bl, br)
+    assert check_lemma_identities(bt).passed
+    assert built == [c.ref for c in bt.components]
+
+
 def test_based_tensor_is_cached_per_factor_pair():
     bl, br = based_of("A1", (1,)), based_of("A1", (2,))
     assert based_tensor(bl, br) is based_tensor(bl, br)

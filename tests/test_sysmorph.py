@@ -260,6 +260,15 @@ def test_transport_detects_impossible_pin_target():
         transport(m, theta_spec(), m.hw_vector(), {1: ONE})
 
 
+def test_transport_detects_inconsistent_pin_pair():
+    # the second pin's source is twice the first's, its target is not
+    m = module_of("A1", (2,))
+    hw = m.hw_vector()
+    with pytest.raises(InternalConsistencyError,
+                       match="inconsistent on propagated pair 1"):
+        transport(m, identity_spec(), [hw, v_scale(hw, qp(0, 2))], [hw, hw])
+
+
 def test_compose_tracks_bar_linearity():
     m = module_of("A1", (2,))
     theta = theta_of(m)
