@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
 from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
-                     v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
+                     v_add, v_bar, v_clean, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
                     isotypic_decomposition, kron_vec, tensor)
@@ -541,33 +541,6 @@ def _apply_divided_word(m: Module, word: Sequence[Tuple[int, int]],
     return v_clean(out)
 
 
-def _monomial_generators(m: Module, hw_vec: Vec, wt: WeightT,
-                         memo: Dict[WeightT, List[Vec]]) -> List[Vec]:
-    """Spanning set of the integral form's weight slice: all vectors
-    obtainable from the highest weight vector by divided-power F-monomials."""
-    if wt in memo:
-        return memo[wt]
-    lam = m.weights[next(iter(hw_vec))]
-    if wt == lam:
-        memo[wt] = [dict(hw_vec)]
-        return memo[wt]
-    out: List[Vec] = []
-    for i in range(m.cartan.n):
-        a = 1
-        while True:
-            up = tuple(wt[k] + a * m.cartan.A[k][i] for k in range(m.cartan.n))
-            if not m.weight_space(up):
-                break
-            for src in _monomial_generators(m, hw_vec, up, memo):
-                vec = v_clean(m.divided_power("F", i, a).apply(src))
-                if not v_is_zero(vec) and not any(v_eq(vec, got)
-                                                  for got in out):
-                    out.append(vec)
-            a += 1
-    memo[wt] = out
-    return out
-
-
 def _fits_vertex(frame: Frame, coords: List[FieldElement],
                  want: ResidueT) -> bool:
     if not frame.in_lattice(coords):
@@ -575,22 +548,18 @@ def _fits_vertex(frame: Frame, coords: List[FieldElement],
     return tuple(x.regular_at_infinity()[1] for x in coords) == want
 
 
-def _triangular_solve(m: Module, crystal: CrystalGraph, v: int,
-                      hw_vec: Vec, gen_memo: Dict[WeightT, List[Vec]]) -> Vec:
-    """Exact solve for the global element at vertex v.
+def _triangular_solve(frame: Frame, gens: List[Vec], want: ResidueT,
+                      where: str) -> Vec:
+    """Exact solve for the global element with residue want in frame.
 
     The element is written as a bar-symmetric Laurent-window combination of
-    divided-power monomial vectors; regularity at infinity and the residue
-    pin become Q-linear conditions on the window coefficients.  Any solution
-    satisfies all four characterizing conditions, so it is the element.
+    the generators gens, the adapted monomials of the crystal vertices at
+    that weight (one per vertex); regularity at infinity and the residue pin
+    become Q-linear conditions on the window coefficients.  Any solution
+    satisfies all four characterizing conditions, so it is the element.  If
+    the generators do not span the integral slice, no window solves and this
+    raises "no bar-symmetric integral lift"; it never returns a wrong basis.
     """
-    wt = crystal.weights[v]
-    frame = crystal.frames[wt]
-    want = crystal.residues[v]
-    gens = _monomial_generators(m, hw_vec, wt, gen_memo)
-    if not gens:
-        raise InternalConsistencyError(
-            f"no integral generators at weight {wt}")
     gcoords = frame.coords_many(gens)
 
     spread = 0  # integer part of the largest exponent size
@@ -609,7 +578,7 @@ def _triangular_solve(m: Module, crystal: CrystalGraph, v: int,
             return sol
         window *= 2
     raise InternalConsistencyError(
-        f"no bar-symmetric integral lift found for vertex {v} at weight {wt}")
+        f"no bar-symmetric integral lift found for {where}")
 
 
 def _window_solve(gens: List[Vec], gcoords: List[List[FieldElement]],
@@ -694,12 +663,15 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
 
     Stage 1 transports the bar involution: it fixes every F-word of the pin,
     so on coordinates it is coefficient-bar twisted by pin/bar(pin).  Stage 2
-    builds the crystal and one bar-fixed divided-power monomial candidate per
-    vertex.  Stage 3 keeps candidates that already lift their vertex (in the
-    lattice, residue on the nose) and replaces the rest through the exact
-    window solve.  Every characterizing condition is reverified before the
-    basis is returned, so a bug upstream surfaces as an error here, not as a
-    wrong basis.
+    builds the crystal and, once per vertex, its adapted word and the
+    bar-fixed divided-power monomial of that word.  Stage 3 keeps monomials
+    that already lift their vertex (in the lattice, residue on the nose) and
+    replaces the rest through the exact window solve, whose generators are
+    the monomials of the vertices at that weight, one per vertex.  Generators
+    that do not span the integral slice make the solve raise; they never
+    yield a wrong basis.  Every characterizing condition is reverified before
+    the basis is returned, so a bug upstream surfaces as an error here, not
+    as a wrong basis.
     """
     cache = m._bases_cache
     if hw_vec is None and "global" in cache:
@@ -724,29 +696,29 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
 
     crystal = crystal_graph(m, seed if hw_vec is not None else None)
 
-    word_memo: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    orders = sorted(range(crystal.size),
-                    key=lambda v: (len(crystal.words[v]), crystal.weights[v], v))
-    elements: Dict[int, Vec] = {}
-    gen_memo: Dict[WeightT, List[Vec]] = {}
-    for v in orders:
-        wt = crystal.weights[v]
-        frame = crystal.frames[wt]
-        g = _apply_divided_word(m, _adapted_word(crystal, v, word_memo), seed)
+    memo: Dict[int, Tuple[Tuple[int, int], ...]] = {}
+    words = [_adapted_word(crystal, v, memo) for v in range(crystal.size)]
+    monomials = [_apply_divided_word(m, w, seed) for w in words]
+    at_weight: Dict[WeightT, List[Vec]] = {}
+    for v, g in enumerate(monomials):
         if v_is_zero(g):
             raise InternalConsistencyError(
                 f"adapted monomial for vertex {v} vanishes")
-        if not _fits_vertex(frame, frame.coords(g), crystal.residues[v]):
-            g = _triangular_solve(m, crystal, v, seed, gen_memo)
+        at_weight.setdefault(crystal.weights[v], []).append(g)
+    elements: List[Vec] = []
+    for v, g in enumerate(monomials):
+        wt = crystal.weights[v]
+        frame = crystal.frames[wt]
+        want = crystal.residues[v]
+        if not _fits_vertex(frame, frame.coords(g), want):
+            g = _triangular_solve(frame, at_weight[wt], want,
+                                  f"vertex {v} at weight {wt}")
         if v_sub(bar_m(g), g):
             raise InternalConsistencyError(
                 f"global element at vertex {v} is not bar-fixed")
-        elements[v] = g
+        elements.append(g)
 
-    gb = GlobalBasis(m, crystal, [elements[v] for v in range(crystal.size)],
-                     seed, bar_scalar,
-                     [_adapted_word(crystal, v, word_memo)
-                      for v in range(crystal.size)])
+    gb = GlobalBasis(m, crystal, elements, seed, bar_scalar, words)
     verify_global_basis(gb)
     if hw_vec is None:
         cache["global"] = gb

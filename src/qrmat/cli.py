@@ -344,6 +344,8 @@ def cmd_crystal(args) -> int:
     else:
         if not args.hw:
             raise CliError("crystal wants --hw or --tensor")
+        if len(args.hw) != 1:
+            raise CliError("crystal wants exactly one --hw")
         if args.list_hw:
             raise CliError("--list-hw wants --tensor")
         hw = _parse_weight(args.hw[0], cd)
@@ -353,8 +355,8 @@ def cmd_crystal(args) -> int:
 
 def cmd_canonical_basis(args) -> int:
     cd = _cartan_of(args.type)
-    if not args.hw:
-        raise CliError("canonical-basis wants --hw")
+    if len(args.hw) != 1:
+        raise CliError("canonical-basis wants exactly one --hw")
     hw = _parse_weight(args.hw[0], cd)
     gb = compute_global_basis(_module_of(args.type, hw))
     return _emit(_canon(gb.to_json_obj()), args.out, args.golden)

@@ -1,7 +1,11 @@
 """Crystal graphs, Kashiwara operators, global bases, tensor crystals."""
 
-import pytest
+import hashlib
+import json
+import os
 from fractions import Fraction
+
+import pytest
 
 import qrmat.bases as bases
 from qrmat.bases import (Frame, GlobalBasis,
@@ -10,6 +14,7 @@ from qrmat.bases import (Frame, GlobalBasis,
                          kashiwara_operators, signature_orientation,
                          tensor_crystal)
 from qrmat.cartan import make_cartan
+from qrmat.cli import _canon
 from qrmat.linalg import inverse, v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement, Q, QLaurent
 from qrmat.sysmorph import BRAID_VARIANTS, braid_operator
@@ -236,13 +241,38 @@ def test_global_basis_scales_with_the_pin():
         assert scaled.bar_scalar == z / z.bar()
 
 
+def _monomials_at(gb, wt):
+    hw = gb.module.hw_vector()
+    return [bases._apply_divided_word(gb.module, gb.monomial_words[u], hw)
+            for u in range(gb.crystal.size) if gb.crystal.weight(u) == wt]
+
+
 def test_window_solve_agrees_with_fast_path():
     m = make_irreducible(A2, (1, 1))
     gb = compute_global_basis(m)
-    memo = {}
+    g = gb.crystal
     for v in range(m.dim):
-        got = bases._triangular_solve(m, gb.crystal, v, m.hw_vector(), memo)
+        wt = g.weight(v)
+        got = bases._triangular_solve(g.frames[wt], _monomials_at(gb, wt),
+                                      g.residues[v], f"vertex {v}")
         assert v_eq(got, gb.elements[v])
+
+
+def test_window_solve_gets_one_generator_per_vertex(monkeypatch):
+    m = make_irreducible(make_cartan("A2"), (2, 1))  # fresh: nothing cached
+    seen = []
+    real = bases._window_solve
+
+    def spy(gens, gcoords, frame, *rest):
+        seen.append((len(gens), m.weights[frame.rows[0]]))
+        return real(gens, gcoords, frame, *rest)
+
+    monkeypatch.setattr(bases, "_window_solve", spy)
+    g = compute_global_basis(m).crystal
+    assert seen
+    for ngens, wt in seen:
+        assert ngens == sum(1 for u in range(g.size) if g.weight(u) == wt)
+        assert ngens == 2
 
 
 def test_global_basis_refuses_tensor_modules():
@@ -384,3 +414,25 @@ def test_singular_string_matrix_raises(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match="string vectors do not span weight space"):
         kashiwara_operators(m, 0)
+
+
+# -- global bases beyond the benchmark catalog -------------------------------
+
+GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "golden",
+                              "global_basis_digests.json")
+
+
+def test_global_basis_digests_match_golden():
+    """SHA-256 of the canonical JSON (as `qrmat canonical-basis` prints it)
+    for modules outside the benchmark catalog, rank 3 included."""
+    with open(GOLDEN_DIGESTS) as f:
+        want = json.load(f)
+    got = {}
+    for key in want:
+        label, hw = key[:-1].split(" V(")
+        cd = make_cartan(label)
+        gb = compute_global_basis(
+            make_irreducible(cd, tuple(int(x) for x in hw.split(","))))
+        got[key] = hashlib.sha256(
+            _canon(gb.to_json_obj()).encode()).hexdigest()
+    assert got == want

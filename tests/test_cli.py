@@ -253,6 +253,21 @@ def test_crystal_wants_some_input(capsys):
     assert "--hw or --tensor" in stderr
 
 
+@pytest.mark.parametrize("command,weights", [
+    ("canonical-basis", ("1", "2")),
+    ("crystal", ("1", "3")),
+])
+def test_single_module_commands_refuse_extra_weights(capsys, command,
+                                                     weights):
+    argv = [command, "--type", "A1"]
+    for w in weights:
+        argv += ["--hw", w]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert f"{command} wants exactly one --hw" in stderr
+
+
 def test_canonical_basis_golden_roundtrip(tmp_path, capsys):
     golden = tmp_path / "gb.json"
     code, _, _ = run(capsys, "canonical-basis", "--type", "A1", "--hw", "2",
