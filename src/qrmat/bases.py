@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
 from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
-                     v_add, v_bar, v_clean, v_is_zero, v_scale, v_sub)
+                     v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
                     isotypic_decomposition, kron_vec, tensor)
@@ -713,7 +713,7 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
         if not _fits_vertex(frame, frame.coords(g), want):
             g = _triangular_solve(frame, at_weight[wt], want,
                                   f"vertex {v} at weight {wt}")
-        if v_sub(bar_m(g), g):
+        if not v_eq(bar_m(g), g):
             raise InternalConsistencyError(
                 f"global element at vertex {v} is not bar-fixed")
         elements.append(g)
@@ -733,7 +733,7 @@ def verify_global_basis(gb: GlobalBasis) -> None:
     m = gb.module
     crystal = gb.crystal
     for v, g in enumerate(gb.elements):
-        if v_sub(gb.bar(g), g):
+        if not v_eq(gb.bar(g), g):
             raise InternalConsistencyError(
                 f"global basis element {v} is not bar-fixed")
         frame = crystal.frames[crystal.weights[v]]

@@ -333,6 +333,8 @@ def _list_hw_text(label: str, lam: WeightT, mu: WeightT) -> str:
 def cmd_crystal(args) -> int:
     cd = _cartan_of(args.type)
     if args.tensor:
+        if args.hw:
+            raise CliError("--hw and --tensor exclude each other")
         lam = _parse_weight(args.tensor[0], cd)
         mu = _parse_weight(args.tensor[1], cd)
         if args.list_hw:
@@ -413,10 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: parse_args starts a fresh namespace on every call
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

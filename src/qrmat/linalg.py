@@ -6,6 +6,10 @@ whose reduced row echelon form is unique: rank, kernel, solutions and
 inverses do not depend on the pivot order. `Echelon` is its incremental
 form, for selecting independent vectors in order. A caller that reuses a
 matrix keeps its factorization (its inverse) rather than solving again.
+
+Scalars have one canonical form and no zeros are stored, so equality of
+vectors and matrices is structural and subtracts nothing; subtraction only
+lists where a failed comparison differs.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ def v_scale(a: Vec, c: FieldElement) -> Vec:
     return {k: x * c for k, x in a.items()}
 
 def v_sub(a: Vec, b: Vec) -> Vec:
-    return v_add(a, v_scale(b, -ONE))
+    return v_add(a, {k: -x for k, x in b.items()})
 
 def v_is_zero(a: Vec) -> bool:
     return all(c.is_zero() for c in a.values())
 
 def v_eq(a: Vec, b: Vec) -> bool:
-    return v_is_zero(v_sub(a, b))
+    return v_clean(a) == v_clean(b)
 
 def v_bar(a: Vec) -> Vec:
     return {k: c.bar() for k, c in a.items()}
@@ -150,7 +154,10 @@ class SparseMatrix:
         return SparseMatrix(self.nrows, self.ncols, rows)
 
     def sub(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self.add(other.scale(-ONE))
+        return self.add(-other)
+
+    def __neg__(self) -> "SparseMatrix":
+        return self.map_entries(lambda x: -x)
 
     def scale(self, c: FieldElement) -> "SparseMatrix":
         if c.is_zero():
@@ -186,7 +193,7 @@ class SparseMatrix:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and \
-            self.sub(other).is_zero()
+            self.rows == other.rows
 
     def __hash__(self):
         raise TypeError("SparseMatrix is not hashable")

@@ -527,6 +527,8 @@ class FieldElement:
 
     def bar(self) -> "FieldElement":
         """Apply q -> q^(-1) and re-canonicalize."""
+        if self.den == _L_ONE:  # a Laurent polynomial stays one
+            return _field_raw(self.num.bar(), _L_ONE, self.ambient_D)
         return _top_scaled(self.num.bar(), self.den.bar(), self.ambient_D)
 
     def subs_q_one(self) -> Fraction:

@@ -258,11 +258,8 @@ def _intertwiner_failures(mat: SparseMatrix, src: Module, dst: Module,
                           limit: int = 3) -> List[dict]:
     out: List[dict] = []
     for label, s_mat, d_mat in _generator_pairs(src, dst):
-        lhs = mat @ s_mat
-        rhs = d_mat @ mat
-        if lhs != rhs:
-            out.extend(_matrix_counterexamples(
-                f"intertwiner {label}", lhs, rhs, limit))
+        out.extend(_matrix_counterexamples(
+            f"intertwiner {label}", mat @ s_mat, d_mat @ mat, limit))
         if len(out) >= limit:
             break
     return out[:limit]
@@ -274,6 +271,8 @@ def _fe_json(x: FieldElement) -> dict:
 
 def _matrix_counterexamples(label: str, lhs: SparseMatrix, rhs: SparseMatrix,
                             limit: int = 3) -> List[dict]:
+    if lhs == rhs:
+        return []
     diff = lhs.sub(rhs)
     out = []
     for r, c, _ in diff.to_triplets()[:limit]:

@@ -28,7 +28,7 @@ from .bases import GlobalBasis, operator_from_strings
 from .cartan import CartanDatum
 from .linalg import (Echelon, SparseMatrix, Vec, inverse, v_bar, v_clean,
                      v_eq, v_is_zero, v_scale)
-from .qscalar import ONE, FieldElement
+from .qscalar import FieldElement
 from .uqmod import (InternalConsistencyError, Module,
                     ModuleConstructionError, make_irreducible)
 
@@ -127,11 +127,11 @@ def gamma_spec() -> MorphismSpec:
     lowest global basis element of its summand."""
     def e_im(m, i):
         t = m.cartan.theta[i]
-        return (m.k_i(t, 1) @ m.F[t]).scale(-ONE)
+        return -(m.k_i(t, 1) @ m.F[t])
 
     def f_im(m, i):
         t = m.cartan.theta[i]
-        return (m.E[t] @ m.k_i(t, -1)).scale(-ONE)
+        return -(m.E[t] @ m.k_i(t, -1))
 
     return MorphismSpec(
         "gamma", True, e_im, f_im,
@@ -144,11 +144,11 @@ def tw0_spec() -> MorphismSpec:
     q-linear."""
     def e_im(m, i):
         t = m.cartan.theta[i]
-        return (m.F[t] @ m.k_i(t, 1)).scale(-ONE)
+        return -(m.F[t] @ m.k_i(t, 1))
 
     def f_im(m, i):
         t = m.cartan.theta[i]
-        return (m.k_i(t, -1) @ m.E[t]).scale(-ONE)
+        return -(m.k_i(t, -1) @ m.E[t])
 
     return MorphismSpec(
         "tw0", False, e_im, f_im,

@@ -305,3 +305,21 @@ def test_repeated_scaling_requests_keep_memory_bounded():
         finally:
             tracemalloc.stop()
     assert grown < 500_000, f"15 scaling requests grew {grown} bytes"
+
+
+def test_parser_keeps_no_values_between_calls(capsys):
+    # the parser is built once per process; what one call appends or sets
+    # must not reach the next
+    code, stdout, _ = run(capsys, "verify", "--suite", "ybe", "--type", "A1",
+                          "--hw", "1", "--inject-fault", "wrong-flip")
+    assert code == 1 and stdout.startswith("FAIL ybe A1 1 ")
+    code, stdout, _ = run(capsys, "verify", "--suite", "ybe", "--type", "A1",
+                          "--hw", "1")
+    assert code == 0 and stdout == "PASS ybe A1 1\n"
+
+
+def test_crystal_tensor_refuses_hw(capsys):
+    code, stdout, stderr = run(capsys, "crystal", "--type", "A1", "--tensor",
+                               "1", "1", "--hw", "2", "--list-hw")
+    assert code == 2 and stdout == ""
+    assert "--hw and --tensor exclude each other" in stderr

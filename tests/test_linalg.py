@@ -219,3 +219,48 @@ def test_schur_selection_matches_the_principal_rank_test(g):
                          {r: g.entry(s, c) for r, s in enumerate(kept)})
             assert want == {r: block.rows[s][c] for r, s in enumerate(kept)
                             if c in block.rows[s]}
+
+
+# -- structural equality against subtract-and-test -------------------------------
+
+@st.composite
+def matrix_pairs(draw):
+    # B is drawn afresh, given another shape, or rebuilt from A through
+    # cancelling arithmetic, so equal pairs hold entries made differently
+    a = draw(matrices())
+    c = SparseMatrix(a.nrows, a.ncols,
+                     {i: {j: draw(scalars) for j in range(a.ncols)}
+                      for i in range(a.nrows)})
+    z = draw(scalars.filter(bool))
+    b = draw(st.sampled_from((
+        a.add(c).sub(c),
+        c.sub(c.sub(a)),
+        a.scale(z).scale(z.inv()),
+        c,
+        SparseMatrix(a.nrows, a.ncols + 1, a.rows),
+    )))
+    return a, b
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrix_pairs())
+def test_structural_matrix_equality_matches_subtraction(ab):
+    a, b = ab
+    same_shape = (a.nrows, a.ncols) == (b.nrows, b.ncols)
+    assert (a == b) == (same_shape and a.sub(b).is_zero())
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrix_pairs(), st.integers(0, 3))
+def test_structural_vector_equality_matches_subtraction(ab, col):
+    a, b = ab
+    u, v = a.column(col), b.column(col)
+    v_junk = {**v, 9: ZERO}  # a stored zero compares as absent
+    for x, y in ((u, v), (u, v_junk), (v_junk, u)):
+        assert v_eq(x, y) == v_is_zero(v_sub(x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices())
+def test_negation_matches_scaling_by_minus_one(a):
+    assert -a == a.scale(-ONE) and -(-a) == a

@@ -195,6 +195,15 @@ def test_bar_is_an_involutive_automorphism(a, b):
 
 
 @settings(max_examples=60, deadline=None)
+@given(laurents())
+def test_laurent_bar_matches_the_general_path(p):
+    # a denominator-1 element skips the top-term rescaling of the quotient
+    a = FieldElement(p)
+    general = qscalar._top_scaled(a.num.bar(), a.den.bar(), a.ambient_D)
+    assert a.bar() == general and a.bar().bar() == a
+
+
+@settings(max_examples=60, deadline=None)
 @given(field_elements())
 def test_canonical_form_invariants(a):
     if a.is_zero():

@@ -21,8 +21,9 @@ from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            system_on,
                            kron_matrix, r_krls, r_matrix, r_oracle, r_theta,
                            scale_isotypic_block, _unique_solution)
-from qrmat.sysmorph import (bar_spec, gamma_spec, identity_spec, make_J,
-                            make_Tw0, theta_spec, transport)
+from qrmat.sysmorph import (bar_spec, calibrate_braid_variant, gamma_spec,
+                            identity_spec, make_J, make_Tw0, theta_spec,
+                            transport)
 from qrmat.uqmod import (InternalConsistencyError, kron_vec,
                          make_irreducible, tensor)
 
@@ -454,6 +455,34 @@ def test_scale_isotypic_block_changes_exactly_one_block():
     twisted = scale_isotypic_block(r, big, 0, qp(1))
     assert twisted != r
     assert scale_isotypic_block(twisted, big, 0, qp(-1)) == r
+
+
+def test_passing_checks_subtract_nothing(monkeypatch):
+    # equality is structural; a subtraction runs only to list the entries
+    # of a comparison that has already failed
+    cd = make_cartan("A1")
+    # building a module subtracts to form the [E, F] side of its relations,
+    # so V(2) and the summands of V(2) (x) V(2) are built first; the
+    # braid-variant calibration lists why it rejects a variant
+    calibrate_braid_variant(cd)
+    m, _, _ = (make_irreducible(cd, (k,)) for k in (2, 0, 4))
+    bm = based_irreducible(m)
+
+    def no_sub(self, other):
+        raise AssertionError("a passing check subtracted")
+    monkeypatch.setattr(SparseMatrix, "sub", no_sub)
+    c = bm.components[0]
+    for spec in (theta_spec(), gamma_spec()):
+        assert transport(m, spec, c.hw_vec, spec.pin(c)) == \
+            system_on(bm, spec)
+    for rep in (check_lemma_identities(bm), check_ybe(bm)):
+        assert rep.passed, rep.counterexamples
+    monkeypatch.undo()
+    bl = based_irreducible(make_irreducible(cd, (1,)))
+    for rep in (check_method_agreement(bl, bm, wrong_sign=True),
+                check_ybe(bm, perturb="scale-block"),
+                check_ybe(bm, wrong_flip=True)):
+        assert not rep.passed and rep.counterexamples
 
 
 # -- the oracle's solver ------------------------------------------------------
