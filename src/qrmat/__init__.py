@@ -1,7 +1,6 @@
 """Exact quantum-group computations: modules, crystal/global bases, R-matrices."""
 
 from .qscalar import (
-    AmbientMismatchError,
     FieldElement,
     ONE,
     Q,
@@ -13,7 +12,6 @@ from .qscalar import (
 )
 
 __all__ = [
-    "AmbientMismatchError",
     "FieldElement",
     "ONE",
     "Q",

@@ -388,7 +388,6 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
 
     weights: List[WeightT] = [lam]
     words: List[Tuple[int, ...]] = [()]
-    depths: List[int] = [0]
     reps: List[Vec] = [v0]
     frames: Dict[WeightT, Frame] = {lam: Frame(m.weight_space(lam), [v0])}
     residues: List[ResidueT] = [frames[lam].residue(frames[lam].coords(v0))]
@@ -426,7 +425,6 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
                     vertex_at[key] = tgt
                     weights.append(wt)
                     words.append(words[v] + (i,))
-                    depths.append(depths[v] + 1)
                     reps.append(vec)
                     residues.append(res)
                     nxt.append(tgt)
@@ -494,7 +492,6 @@ class GlobalBasis:
                 != module.dim:
             raise InternalConsistencyError(
                 "global basis elements are linearly dependent")
-        self.hw_vertex = 0
         lows = crystal.lowest()
         if len(lows) != 1:
             raise InternalConsistencyError(

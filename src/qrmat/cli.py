@@ -19,7 +19,7 @@ from .rmatrix import (BasedModule, CheckReport, based_irreducible,
                       check_gamma_lemma, check_hexagon,
                       check_lemma_identities, check_method_agreement,
                       check_scaling, check_ybe, r_matrix)
-from .sysmorph import make_Tw0
+from .sysmorph import make_Tw0, transport, tw0_spec
 from .uqmod import (InternalConsistencyError, Module,
                     ModuleConstructionError, make_irreducible, verify_module)
 
@@ -218,7 +218,9 @@ def _module_relations_report(label: str, hw: WeightT) -> CheckReport:
     try:
         verify_module(m)
         braid = make_Tw0(m)
-        transported = make_Tw0(m, "transport", gb=compute_global_basis(m))
+        gb = compute_global_basis(m)
+        transported = transport(m, tw0_spec(), gb.elements[gb.low_vertex],
+                                gb.hw_vec)
         if braid.matrix != transported.matrix:
             ces.append({"check": "T_w0 braid-product vs transport",
                         "detail": "matrices differ"})

@@ -28,10 +28,6 @@ Rat = Union[int, Fraction]
 Pairs = Tuple[Tuple[int, int], ...]
 
 
-class AmbientMismatchError(ValueError):
-    """Arithmetic combined scalars tagged with different root orders D."""
-
-
 def _rat(x: Rat) -> Rat:
     if isinstance(x, (int, Fraction)):
         return x
@@ -163,10 +159,6 @@ class QLaurent:
                 else:
                     del acc[e]
         return _make(s, self.k * other.k, tuple(sorted(acc.items())))
-
-    def scale(self, c: Rat, e: Rat = 0) -> "QLaurent":
-        """Multiply by the monomial c*q^e."""
-        return self * QLaurent.q_power(e, c)
 
     def __pow__(self, n: int) -> "QLaurent":
         if not isinstance(n, int) or n < 0:
@@ -368,17 +360,11 @@ def laurent_cancel(num: QLaurent, den: QLaurent) -> Tuple[QLaurent, QLaurent]:
 # ---------------------------------------------------------------------------
 
 class FieldElement:
-    """Element of Q(q^(1/D)) as a canonical quotient of Laurent polynomials.
+    """Element of Q(q^(1/D)) as a canonical quotient of Laurent polynomials."""
 
-    ambient_D, when set, records the root order the exponents must respect
-    (every exponent denominator divides D). Arithmetic merges the tags of its
-    operands and raises AmbientMismatchError on conflict; None means untagged
-    and combines with anything. Tags never affect equality or hashing.
-    """
+    __slots__ = ("num", "den")
 
-    __slots__ = ("num", "den", "ambient_D")
-
-    def __init__(self, num: QLaurent, den: QLaurent = _L_ONE, ambient_D: Optional[int] = None):
+    def __init__(self, num: QLaurent, den: QLaurent = _L_ONE):
         if not isinstance(num, QLaurent) or not isinstance(den, QLaurent):
             raise TypeError("FieldElement wants QLaurent parts")
         if den == _L_ONE and not num.is_zero():
@@ -387,21 +373,12 @@ class FieldElement:
             n, d = laurent_cancel(num, den)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
-        object.__setattr__(self, "ambient_D", ambient_D)
-        if ambient_D is not None:
-            self._check_ambient()
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     def __reduce__(self):
-        return FieldElement, (self.num, self.den, self.ambient_D)
-
-    def _check_ambient(self) -> None:
-        D = self.ambient_D
-        if D % lcm(self.num.s, self.den.s) != 0:
-            raise AmbientMismatchError(
-                f"exponent denominators do not divide ambient root order D={D}")
+        return FieldElement, (self.num, self.den)
 
     # -- constructors --------------------------------------------------------
 
@@ -414,12 +391,6 @@ class FieldElement:
     @staticmethod
     def q_power(e: Rat, c: Rat = 1) -> "FieldElement":
         return FieldElement(QLaurent.q_power(e, c))
-
-    def with_ambient(self, D: Optional[int]) -> "FieldElement":
-        out = _field_raw(self.num, self.den, D)
-        if D is not None:
-            out._check_ambient()
-        return out
 
     # -- predicates ----------------------------------------------------------
 
@@ -435,15 +406,6 @@ class FieldElement:
 
     # -- arithmetic -----------------------------------------------------------
 
-    @staticmethod
-    def _merge_ambient(a: "FieldElement", b: "FieldElement") -> Optional[int]:
-        if a.ambient_D is None:
-            return b.ambient_D
-        if b.ambient_D is None or a.ambient_D == b.ambient_D:
-            return a.ambient_D
-        raise AmbientMismatchError(
-            f"mixed root orders D={a.ambient_D} and D={b.ambient_D}")
-
     def _coerce(self, other) -> Optional["FieldElement"]:
         if isinstance(other, FieldElement):
             return other
@@ -455,21 +417,20 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = FieldElement._merge_ambient(self, o)
         if not o.num.pairs:
-            return self if D == self.ambient_D else self.with_ambient(D)
+            return self
         if not self.num.pairs:
-            return o if D == o.ambient_D else o.with_ambient(D)
+            return o
         if self.den == _L_ONE and o.den == _L_ONE:
-            return _field_raw(self.num + o.num, _L_ONE, D)
+            return _field_raw(self.num + o.num, _L_ONE)
         if self.den == o.den:
-            return FieldElement(self.num + o.num, self.den, D)
-        return FieldElement(self.num * o.den + o.num * self.den, self.den * o.den, D)
+            return FieldElement(self.num + o.num, self.den)
+        return FieldElement(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return _field_raw(-self.num, self.den, self.ambient_D)
+        return _field_raw(-self.num, self.den)
 
     def __sub__(self, other) -> "FieldElement":
         o = self._coerce(other)
@@ -487,20 +448,19 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        D = FieldElement._merge_ambient(self, o)
         # a monomial is a unit: the product keeps the other denominator
         if o.den == _L_ONE and (self.den == _L_ONE or len(o.num.pairs) == 1):
-            return _field_raw(self.num * o.num, self.den, D)
+            return _field_raw(self.num * o.num, self.den)
         if self.den == _L_ONE and len(self.num.pairs) == 1:
-            return _field_raw(self.num * o.num, o.den, D)
-        return FieldElement(self.num * o.num, self.den * o.den, D)
+            return _field_raw(self.num * o.num, o.den)
+        return FieldElement(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero")
-        return _top_scaled(self.den, self.num, self.ambient_D)
+        return _top_scaled(self.den, self.num)
 
     def __truediv__(self, other) -> "FieldElement":
         o = self._coerce(other)
@@ -508,8 +468,7 @@ class FieldElement:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero")
-        D = FieldElement._merge_ambient(self, o)
-        return FieldElement(self.num * o.den, self.den * o.num, D)
+        return FieldElement(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other) -> "FieldElement":
         o = self._coerce(other)
@@ -522,19 +481,14 @@ class FieldElement:
             raise TypeError("integer power only")
         if n < 0:
             return self.inv() ** (-n)
-        return _field_raw(self.num ** n, self.den ** n, self.ambient_D) if self.den == _L_ONE \
-            else FieldElement(self.num ** n, self.den ** n, self.ambient_D)
+        return _field_raw(self.num ** n, self.den ** n) if self.den == _L_ONE \
+            else FieldElement(self.num ** n, self.den ** n)
 
     def bar(self) -> "FieldElement":
         """Apply q -> q^(-1) and re-canonicalize."""
         if self.den == _L_ONE:  # a Laurent polynomial stays one
-            return _field_raw(self.num.bar(), _L_ONE, self.ambient_D)
-        return _top_scaled(self.num.bar(), self.den.bar(), self.ambient_D)
-
-    def subs_q_one(self) -> Fraction:
-        """Classical specialization q = 1; raises ZeroDivisionError at poles."""
-        d = self.den.subs_q_one()
-        return self.num.subs_q_one() / d
+            return _field_raw(self.num.bar(), _L_ONE)
+        return _top_scaled(self.num.bar(), self.den.bar())
 
     # -- regularity at q = infinity -------------------------------------------
 
@@ -586,21 +540,20 @@ class FieldElement:
         return FieldElement(load(obj["num"]), load(obj["den"]))
 
 
-def _field_raw(num: QLaurent, den: QLaurent, D: Optional[int]) -> FieldElement:
+def _field_raw(num: QLaurent, den: QLaurent) -> FieldElement:
     # caller guarantees canonical form already holds
     out = object.__new__(FieldElement)
     object.__setattr__(out, "num", num)
     object.__setattr__(out, "den", den)
-    object.__setattr__(out, "ambient_D", D)
     return out
 
 
-def _top_scaled(num: QLaurent, den: QLaurent, D: Optional[int]) -> FieldElement:
+def _top_scaled(num: QLaurent, den: QLaurent) -> FieldElement:
     """num/den for coprime parts, both divided by den's top term so that it
     becomes 1*q^0; a monomial is a unit, so no GCD needs cancelling."""
     e, c = den.pairs[-1]
     m = _make(den.s, abs(c), ((-e, den.k if c > 0 else -den.k),))
-    return _field_raw(num * m, den * m, D)
+    return _field_raw(num * m, den * m)
 
 
 ZERO = FieldElement(_L_ZERO)

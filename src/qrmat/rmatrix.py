@@ -265,10 +265,6 @@ def _intertwiner_failures(mat: SparseMatrix, src: Module, dst: Module,
     return out[:limit]
 
 
-def _fe_json(x: FieldElement) -> dict:
-    return x.to_json_obj()
-
-
 def _matrix_counterexamples(label: str, lhs: SparseMatrix, rhs: SparseMatrix,
                             limit: int = 3) -> List[dict]:
     if lhs == rhs:
@@ -277,8 +273,8 @@ def _matrix_counterexamples(label: str, lhs: SparseMatrix, rhs: SparseMatrix,
     out = []
     for r, c, _ in diff.to_triplets()[:limit]:
         out.append({"check": label, "row": r, "col": c,
-                    "lhs": _fe_json(lhs.rows.get(r, {}).get(c, ZERO)),
-                    "rhs": _fe_json(rhs.rows.get(r, {}).get(c, ZERO))})
+                    "lhs": lhs.rows.get(r, {}).get(c, ZERO).to_json_obj(),
+                    "rhs": rhs.rows.get(r, {}).get(c, ZERO).to_json_obj()})
     return out
 
 
@@ -319,7 +315,7 @@ class RMatrixResult:
             "lambda": self._weights_obj(self.left),
             "mu": self._weights_obj(self.right),
             "basis_order": [[t // dr, t % dr] for t in range(dl * dr)],
-            "entries": [[r, c, _fe_json(x)]
+            "entries": [[r, c, x.to_json_obj()]
                         for r, c, x in self.matrix.to_triplets()],
         }
 
@@ -366,9 +362,9 @@ def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     enters this construction.
     """
     big = tensor(bl.module, br.module)
-    tl = make_Tw0(bl.module, "braid-product")
-    tr = make_Tw0(br.module, "braid-product")
-    tt = make_Tw0(big, "braid-product")
+    tl = make_Tw0(bl.module)
+    tr = make_Tw0(br.module)
+    tt = make_Tw0(big)
     pre = _pair_weight_diag(big, bl.module, br.module)
     mat = pre @ kron_matrix(inverse(tl.matrix), inverse(tr.matrix)) @ tt.matrix
     return RMatrixResult(mat, "krls", bl, br)
@@ -477,11 +473,8 @@ class Commutor:
     """A verified isomorphism V (x) W -> W (x) V (or an endomorphism of
     V (x) W when no flip is involved)."""
 
-    def __init__(self, matrix: SparseMatrix, src: Module, dst: Module,
-                 name: str, flipped: bool):
+    def __init__(self, matrix: SparseMatrix, name: str, flipped: bool):
         self.matrix = matrix
-        self.src = src
-        self.dst = dst
         self.name = name
         self.flipped = flipped
 
@@ -507,7 +500,7 @@ def build_commutor(spec: MorphismSpec, bl: BasedModule,
         raise InternalConsistencyError(
             f"{spec.name} commutor does not intertwine the actions: "
             + json.dumps(fails[0]))
-    return Commutor(mat, bt.module, dst, spec.name, flipped)
+    return Commutor(mat, spec.name, flipped)
 
 
 def braiding(bl: BasedModule, br: BasedModule) -> Commutor:
@@ -731,7 +724,7 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
     theta = system_on(bm, theta_spec())
     gamma = system_on(bm, gamma_spec())
     bar = system_on(bm, bar_spec())
-    tw0 = make_Tw0(m, "braid-product")
+    tw0 = make_Tw0(m)
     jmap = make_J(m)
     ces: List[dict] = []
 
@@ -752,7 +745,7 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
         got = jmap.matrix.rows.get(t, {}).get(t, ZERO)
         if got != want:
             ces.append({"check": "J weight scalar", "row": t, "col": t,
-                        "lhs": _fe_json(got), "rhs": _fe_json(want)})
+                        "lhs": got.to_json_obj(), "rhs": want.to_json_obj()})
     for comp in bm.components:
         for vertex in range(comp.ref_gb.crystal.size):
             b = comp.basis_element(vertex)
@@ -776,15 +769,13 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
     return _report("lemma-identities", t0, ces)
 
 
-def check_normalization(bl: BasedModule, br: BasedModule,
-                        result: Optional[RMatrixResult] = None) -> CheckReport:
+def check_normalization(bl: BasedModule, br: BasedModule) -> CheckReport:
     """R(b_lambda (x) c) = q^((lambda, wt c)) b_lambda (x) c for every
     global basis element c of the right factor."""
     t0 = perf_counter()
     if len(bl.components) != 1:
         raise ValueError("normalization row wants an irreducible left factor")
-    if result is None:
-        result = r_theta(bl, br)
+    result = r_theta(bl, br)
     lam = bl.components[0].nu
     hw = bl.components[0].hw_vec
     cd = bl.cartan
@@ -807,7 +798,7 @@ def check_normalization(bl: BasedModule, br: BasedModule,
 
 
 def _vec_json(v: Vec) -> list:
-    return [[t, _fe_json(v[t])] for t in sorted(v)]
+    return [[t, v[t].to_json_obj()] for t in sorted(v)]
 
 
 def check_double_braiding(bl: BasedModule, br: BasedModule
@@ -836,5 +827,5 @@ def check_double_braiding(bl: BasedModule, br: BasedModule
                             "rhs": _vec_json(v_scale(vec, scalar))})
                 break
         scalars.append({"component": list(comp.nu), "index": k,
-                        "scalar": _fe_json(scalar)})
+                        "scalar": scalar.to_json_obj()})
     return _report("double-braiding", t0, ces), scalars

@@ -24,7 +24,7 @@ and cached per Cartan matrix.
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .bases import GlobalBasis, operator_from_strings
+from .bases import operator_from_strings
 from .cartan import CartanDatum
 from .linalg import (Echelon, SparseMatrix, Vec, inverse, v_bar, v_clean,
                      v_eq, v_is_zero, v_scale)
@@ -203,10 +203,6 @@ class TransportedMap:
             self._inverse = TransportedMap(self.module, inv, self.bar_linear,
                                            f"({self.provenance})^-1")
         return self._inverse
-
-    def scale(self, c: FieldElement) -> "TransportedMap":
-        return TransportedMap(self.module, self.matrix.scale(c),
-                              self.bar_linear, f"{c} * {self.provenance}")
 
     def is_identity(self) -> bool:
         return not self.bar_linear and self.matrix.is_identity()
@@ -471,32 +467,18 @@ def calibrate_braid_variant(cd: CartanDatum) -> str:
     return winners[0]
 
 
-def make_Tw0(m: Module, method: str = "braid-product",
-             gb: Optional[GlobalBasis] = None,
-             pins: Optional[Sequence[Tuple[Vec, Vec]]] = None
-             ) -> TransportedMap:
+def make_Tw0(m: Module) -> TransportedMap:
     """T_w0: q-linear, sends the lowest global basis element to the highest.
 
-    braid-product composes the calibrated T_i along the reduced word of w0
-    (intrinsic: works on any integrable module, tensor products included;
-    calibration checks the lowest-to-highest property on a probe module).
-    transport pins C_{T_w0} at the lowest global basis element of gb, or at
-    the given pins, directly.
+    Composes the calibrated T_i along the reduced word of w0 (intrinsic:
+    works on any integrable module, tensor products included; calibration
+    checks the lowest-to-highest property on a probe module) and verifies
+    the product against C_{T_w0}.  transport(m, tw0_spec(), lows, highs)
+    builds the same map from explicit pins.
     """
-    spec = tw0_spec()
-    if method == "transport":
-        if pins is None:
-            if gb is None:
-                raise ValueError("transport method wants a global basis")
-            pins = [(gb.elements[gb.low_vertex], gb.hw_vec)]
-        tmap = transport(m, spec, [s for s, _ in pins], [t for _, t in pins])
-        tmap.provenance = "tw0-transport"
-        return tmap
-    if method != "braid-product":
-        raise ValueError(f"unknown T_w0 method {method!r}")
     mat = _braid_product(m, calibrate_braid_variant(m.cartan))
     tmap = TransportedMap(m, mat, False, "tw0-braid")
-    failures = verify_compatibility(tmap, spec)
+    failures = verify_compatibility(tmap, tw0_spec())
     if failures:
         raise InternalConsistencyError(
             "braid-product T_w0 violates compatibility: "

@@ -64,8 +64,7 @@ class Module:
     def __init__(self, cartan: CartanDatum, weights: Sequence[WeightT],
                  E: Dict[int, SparseMatrix], F: Dict[int, SparseMatrix],
                  provenance: str, hw_index: Optional[int] = None,
-                 words: Optional[Sequence[Tuple[int, ...]]] = None,
-                 factors: Optional[Tuple["Module", "Module"]] = None):
+                 words: Optional[Sequence[Tuple[int, ...]]] = None):
         self.cartan = cartan
         self.weights = tuple(_as_int_weight(w) for w in weights)
         self.dim = len(self.weights)
@@ -74,7 +73,6 @@ class Module:
         self.provenance = provenance
         self.hw_index = hw_index
         self.words = tuple(words) if words is not None else None
-        self.factors = factors
         self._weight_spaces: Dict[WeightT, List[int]] = {}
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
@@ -165,32 +163,30 @@ class Module:
 # Irreducible construction
 # ---------------------------------------------------------------------------
 
-def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
-                     max_depth: Optional[int] = None) -> Module:
+def make_irreducible(cartan: CartanDatum, hw: Sequence[int]) -> Module:
     """Construct V_lambda with its highest-weight pin at basis index 0.
 
     The module is built once per Cartan datum and highest weight and kept
-    on the datum; later calls return that same module.  max_depth truncates
-    the F-spanning for exploration of non-finite data; truncated output
-    carries no correctness contract, skips verification and is not kept.
+    on the datum; later calls return that same module.  Only finite type
+    is built, since only there is V_lambda finite-dimensional.
     """
     lam = _as_int_weight(hw)
     if len(lam) != cartan.n:
         raise ModuleConstructionError("weight length does not match rank")
     if any(x < 0 for x in lam):
         raise ModuleConstructionError(f"highest weight {lam} is not dominant")
-    if not cartan.finite and max_depth is None:
-        raise ModuleConstructionError("non-finite type needs an explicit max_depth")
-    if max_depth is None and lam in cartan._irreducibles:
+    if not cartan.finite:
+        raise ModuleConstructionError(
+            "irreducible modules need a finite-type Cartan datum")
+    if lam in cartan._irreducibles:
         return cartan._irreducibles[lam]
 
     n = cartan.n
     # per-basis bookkeeping, indexed by construction order
     weights: List[WeightT] = [lam]
     words: List[Tuple[int, ...]] = [()]
-    depth_of: List[int] = [0]
     e_cols: List[Dict[int, Vec]] = [{i: {} for i in range(n)}]  # E_i of each basis vec
-    f_cols: List[Dict[int, Vec]] = [{} for _ in range(1)]       # filled as depths close
+    f_cols: List[Dict[int, Vec]] = [{}]                         # filled as depths close
     gram: Dict[Tuple[int, int], FieldElement] = {(0, 0): ONE}
 
     def gram_get(a: int, b: int) -> FieldElement:
@@ -207,11 +203,7 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
         return out
 
     frontier = [0]
-    depth = 0
     while frontier:
-        depth += 1
-        if max_depth is not None and depth > max_depth:
-            break
         # candidates: (i, parent) in deterministic order -> F_i(parent)
         by_weight: Dict[WeightT, List[Tuple[int, int]]] = {}
         for parent in frontier:
@@ -264,7 +256,6 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
                 new_ids[c_idx] = bid
                 weights.append(wt)
                 words.append((i,) + words[parent])
-                depth_of.append(depth)
                 e_cols.append(cand_e[c_idx])
                 f_cols.append({})
                 gram[(bid, bid)] = g[c_idx][c_idx]
@@ -299,9 +290,8 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int],
          for i in range(n)}
     mod = Module(cartan, weights, E, F, provenance="irreducible-with-hw-pin",
                  hw_index=0, words=words)
-    if max_depth is None:
-        verify_module(mod)
-        cartan._irreducibles[lam] = mod
+    verify_module(mod)
+    cartan._irreducibles[lam] = mod
     return mod
 
 
@@ -419,7 +409,7 @@ def tensor(m: Module, w: Module) -> Module:
                     trips_f.append((a * w.dim + r, a * w.dim + c, val * k))
         E[i] = SparseMatrix.from_triplets(dim, dim, trips_e)
         F[i] = SparseMatrix.from_triplets(dim, dim, trips_f)
-    out = Module(cd, weights, E, F, provenance="tensor", factors=(m, w))
+    out = Module(cd, weights, E, F, provenance="tensor")
     m._tensors[w] = out
     return out
 

@@ -20,7 +20,7 @@ from qrmat.rmatrix import (based_irreducible, based_tensor, check_gamma_lemma,
                            check_hexagon, check_lemma_identities,
                            check_method_agreement, check_normalization,
                            check_scaling, check_ybe)
-from qrmat.sysmorph import make_Tw0
+from qrmat.sysmorph import make_Tw0, transport, tw0_spec
 from qrmat.uqmod import (InternalConsistencyError, isotypic_decomposition,
                          make_irreducible, verify_module)
 
@@ -209,7 +209,9 @@ def test_criterion_09_module_relations_and_tw0_routes():
             continue
         checked += 1
         braid = make_Tw0(m)
-        transported = make_Tw0(m, "transport", gb=compute_global_basis(m))
+        gb = compute_global_basis(m)
+        transported = transport(m, tw0_spec(), gb.elements[gb.low_vertex],
+                                gb.hw_vec)
         if braid.matrix != transported.matrix:
             problems.append((label, hw, "T_w0 braid != transport"))
     for label, lam, mu in PAIRS:

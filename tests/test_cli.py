@@ -12,6 +12,7 @@ from qrmat import cli
 from qrmat.cli import main
 from qrmat.qscalar import FieldElement
 from qrmat.rmatrix import RMatrixResult
+from qrmat.sysmorph import TransportedMap
 from qrmat.uqmod import InternalConsistencyError
 
 
@@ -143,6 +144,45 @@ def test_verify_all_suites_smallest_a1(capsys):
     assert all(line.startswith("PASS") for line in lines)
     suites = {line.split()[1] for line in lines}
     assert suites == set(cli.SUITES)
+
+
+def test_verify_module_relations_one_line_per_module(capsys):
+    code, stdout, stderr = run(
+        capsys, "verify", "--suite", "module-relations", "--type", "A2",
+        "--max-hw", "1")
+    assert code == 0
+    assert stderr == ""
+    assert stdout == ("PASS module-relations A2 0,1\n"
+                      "PASS module-relations A2 1,0\n")
+
+
+def test_verify_module_relations_flags_tw0_route_disagreement(
+        capsys, monkeypatch):
+    real = cli.transport
+
+    def doubled(m, spec, v0, w0):
+        t = real(m, spec, v0, w0)
+        return TransportedMap(m, t.matrix.scale(FieldElement.from_int(2)),
+                              t.bar_linear, t.provenance)
+
+    monkeypatch.setattr(cli, "transport", doubled)
+    code, stdout, _ = run(
+        capsys, "verify", "--suite", "module-relations", "--type", "A1",
+        "--hw", "2")
+    assert code == 1
+    assert stdout.startswith("FAIL module-relations A1 2 counterexample:")
+    assert "braid-product vs transport" in stdout
+
+
+def test_verify_crystal_crossval_one_line_per_pair(capsys):
+    code, stdout, stderr = run(
+        capsys, "verify", "--suite", "crystal-crossval", "--type", "A2",
+        "--max-hw", "1")
+    assert code == 0
+    assert stderr == ""
+    assert stdout.split("\n") == [
+        f"PASS crystal-crossval A2 {pair}"
+        for pair in ("0,1x0,1", "0,1x1,0", "1,0x0,1", "1,0x1,0")] + [""]
 
 
 def test_verify_hexagon_triple_flag(capsys):

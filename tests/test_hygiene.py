@@ -2,9 +2,11 @@
 
 Every public function and method of qrmat has a caller in the package or
 in the benchmark (a name the benchmark tracer wraps by string counts), or
-is a test oracle listed below with its reason; and no module keys
-anything by object identity.  A method is called only when it is reached
-as an attribute; a function also when its bare name is read.
+is a test oracle listed below with its reason; every defaulted parameter
+of a public function, method or constructor is passed by some call there,
+or is listed below with its reason; and no module keys anything by object
+identity.  A method is called only when it is reached as an attribute; a
+function also when its bare name is read.
 """
 
 import ast
@@ -29,6 +31,13 @@ ORACLES = {
            "denominators with",
     "valuation": "bottom exponent, which the random-exponent property "
                  "test bounds spans with",
+}
+
+# defaulted parameters that no call in the package or the benchmark passes
+OPTIONS = {
+    "check_method_agreement.rescale": "known debt: the acceptance tests "
+                                      "turn the rescaled-pin comparison off",
+    "q_binom.d": "public scalar API; mirrors the d of q_int and q_factorial",
 }
 
 
@@ -96,6 +105,82 @@ def test_every_public_function_has_a_caller_or_is_an_oracle():
 def test_oracle_list_names_only_uncalled_definitions():
     # an oracle that gains a caller in the package leaves the list
     assert set(ORACLES) <= {name for _, _, name in _uncalled()}
+
+
+def _defaulted_parameters():
+    """(qualified name, called name, via attribute only, parameter, index)
+    of every defaulted parameter of a public top-level function, public
+    method or constructor of a public class; index is the positional slot
+    a call fills, or None for a keyword-only parameter."""
+    out = []
+
+    def params(qual, called, method_only, fn, skip):
+        a = fn.args
+        pos = a.posonlyargs + a.args
+        for k, arg in enumerate(pos[len(pos) - len(a.defaults):],
+                                len(pos) - len(a.defaults)):
+            out.append((qual, called, method_only, arg.arg, k - skip))
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((qual, called, method_only, arg.arg, None))
+
+    for _, tree in _trees(PACKAGE):
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                params(node.name, node.name, False, node, 0)
+            elif isinstance(node, ast.ClassDef) \
+                    and not node.name.startswith("_"):
+                for item in node.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    static = any(isinstance(d, ast.Name)
+                                 and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    qual = f"{node.name}.{item.name}"
+                    if item.name in ("__init__", "__new__"):
+                        params(qual, node.name, False, item, 1)
+                    elif not item.name.startswith("_"):
+                        params(qual, item.name, True, item,
+                               0 if static else 1)
+    return out
+
+
+def _unpassed_options():
+    """"<qualified name>.<parameter>" of each defaulted parameter that no
+    call fills; a call with *args or **kwargs fills every slot."""
+    calls = []  # (called name, via attribute, positional count, keywords)
+    for _, tree in _trees(PACKAGE, os.path.join(ROOT, "perfbench")):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                name, attr = node.func.id, False
+            elif isinstance(node.func, ast.Attribute):
+                name, attr = node.func.attr, True
+            else:
+                continue
+            starred = any(isinstance(x, ast.Starred) for x in node.args)
+            kws = {k.arg for k in node.keywords}
+            calls.append((name, attr,
+                          float("inf") if starred else len(node.args),
+                          None if None in kws else kws))
+    return sorted({f"{qual}.{param}"
+                   for qual, called, method_only, param, slot
+                   in _defaulted_parameters()
+                   if not any(name == called and (attr or not method_only)
+                              and ((slot is not None and npos > slot)
+                                   or kws is None or param in kws)
+                              for name, attr, npos, kws in calls)})
+
+
+def test_every_option_is_passed_by_a_caller_or_listed():
+    assert [o for o in _unpassed_options() if o not in OPTIONS] == []
+
+
+def test_option_list_names_only_unpassed_parameters():
+    # a listed option that gains a caller leaves the list
+    assert set(OPTIONS) <= set(_unpassed_options())
 
 
 def test_package_never_calls_id():

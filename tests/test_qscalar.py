@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from qrmat import qscalar
 from qrmat.qscalar import (
-    AmbientMismatchError,
     FieldElement,
     ONE,
     Q,
@@ -199,7 +198,7 @@ def test_bar_is_an_involutive_automorphism(a, b):
 def test_laurent_bar_matches_the_general_path(p):
     # a denominator-1 element skips the top-term rescaling of the quotient
     a = FieldElement(p)
-    general = qscalar._top_scaled(a.num.bar(), a.den.bar(), a.ambient_D)
+    general = qscalar._top_scaled(a.num.bar(), a.den.bar())
     assert a.bar() == general and a.bar().bar() == a
 
 
@@ -235,13 +234,10 @@ def test_json_round_trip(a):
 @settings(max_examples=30, deadline=None)
 @given(field_elements())
 def test_copy_and_pickle_round_trip(a):
-    # exponent denominators are 1, 2 or 3, so D = 6 is a valid tag
-    for x in (a, a.num, a.with_ambient(6)):
+    for x in (a, a.num):
         for y in (copy.copy(x), copy.deepcopy(x),
                   pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
-    assert pickle.loads(pickle.dumps(a.with_ambient(6))).ambient_D == 6
-    assert copy.deepcopy(a.with_ambient(6)).ambient_D == 6
 
 
 _u = sympy.Symbol("u", positive=True)  # q = u^6 makes every exponent integral
@@ -298,7 +294,7 @@ def test_tracing_hooks_see_scalar_calls(monkeypatch):
     # of a canonical quotient only rescales it, so it cancels nothing
 
 
-# -- error paths and ambient tags ---------------------------------------------
+# -- error paths ---------------------------------------------------------------
 
 def test_zero_division_paths():
     with pytest.raises(ZeroDivisionError):
@@ -307,17 +303,6 @@ def test_zero_division_paths():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.inv()
-
-
-def test_ambient_mismatch():
-    a = ONE.with_ambient(4)
-    b = Q.with_ambient(6)
-    with pytest.raises(AmbientMismatchError):
-        a + b
-    with pytest.raises(AmbientMismatchError):
-        FieldElement.q_power(Fraction(1, 3)).with_ambient(4)
-    c = a * Q  # untagged operand adopts the tag
-    assert c.ambient_D == 4
 
 
 # -- byte-stable serialization --------------------------------------------------

@@ -23,7 +23,7 @@ from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            scale_isotypic_block, _unique_solution)
 from qrmat.sysmorph import (bar_spec, calibrate_braid_variant, gamma_spec,
                             identity_spec, make_J, make_Tw0, theta_spec,
-                            transport)
+                            transport, tw0_spec)
 from qrmat.uqmod import (InternalConsistencyError, kron_vec,
                          make_irreducible, tensor)
 
@@ -385,8 +385,9 @@ def test_lemma_identities_on_a_tensor_module():
 
 def test_tensor_tw0_transport_from_tensor_pins_matches_braid_product():
     bt = based_tensor(based_of("A1", (1,)), based_of("A1", (2,)))
-    pins = [(c.lowest_element(), c.hw_vec) for c in bt.components]
-    transported = make_Tw0(bt.module, "transport", pins=pins)
+    transported = transport(bt.module, tw0_spec(),
+                            [c.lowest_element() for c in bt.components],
+                            [c.hw_vec for c in bt.components])
     assert transported.matrix == make_Tw0(bt.module).matrix
 
 

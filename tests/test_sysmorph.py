@@ -100,7 +100,7 @@ def test_gamma_swaps_extreme_global_basis_elements_a1():
 def test_tw0_sends_lowest_to_highest_with_unit_coefficient():
     for label, hw in ACCEPTANCE_MODULES:
         gb = gb_of(label, hw)
-        tw0 = make_Tw0(gb.module, "braid-product")
+        tw0 = make_Tw0(gb.module)
         assert v_eq(tw0.apply(gb.elements[gb.low_vertex]), gb.hw_vec), (label, hw)
 
 
@@ -111,7 +111,7 @@ def test_tw0_sends_lowest_to_highest_with_unit_coefficient():
 def test_gamma_equals_bar_after_inverse_tw0(label, hw):
     m = module_of(label, hw)
     gamma = gamma_of(m)
-    assert gamma == bar_of(m).compose(make_Tw0(m, "braid-product").inverse())
+    assert gamma == bar_of(m).compose(make_Tw0(m).inverse())
 
 
 @pytest.mark.parametrize("label,hw", ACCEPTANCE_MODULES)
@@ -144,7 +144,7 @@ def test_theta_is_diagonal_on_the_global_basis(label, hw):
 def test_gamma_inverse_theta_equals_j_tw0(label, hw):
     m = module_of(label, hw)
     lhs = gamma_of(m).inverse().compose(theta_of(m))
-    rhs = make_J(m).compose(make_Tw0(m, "braid-product"))
+    rhs = make_J(m).compose(make_Tw0(m))
     assert lhs == rhs
 
 
@@ -209,12 +209,13 @@ def test_braid_operator_maps_weight_spaces_by_simple_reflection():
 def test_braid_product_tw0_equals_transported_tw0(label, hw):
     gb = gb_of(label, hw)
     m = gb.module
-    assert make_Tw0(m, "braid-product") == make_Tw0(m, "transport", gb=gb)
+    assert make_Tw0(m) == transport(m, tw0_spec(), gb.elements[gb.low_vertex],
+                                    gb.hw_vec)
 
 
 def test_tw0_braid_product_works_on_tensor_modules():
     tm = tensor(module_of("A2", (1, 0)), module_of("A2", (0, 1)))
-    tw0 = make_Tw0(tm, "braid-product")
+    tw0 = make_Tw0(tm)
     assert verify_compatibility(tw0, tw0_spec()) == []
     # weight spaces land on the w0-reflected weight
     for col in range(tm.dim):
@@ -226,8 +227,6 @@ def test_tw0_braid_product_works_on_tensor_modules():
 def test_unknown_braid_variant_rejected():
     with pytest.raises(ValueError):
         braid_operator(module_of("A1", (1,)), 0, "C+1")
-    with pytest.raises(ValueError):
-        make_Tw0(module_of("A1", (1,)), "guess")
 
 
 # -- transport mechanics -------------------------------------------------------
@@ -304,7 +303,7 @@ def test_bar_linear_inverse_inverts_pointwise():
 
 def test_verify_compatibility_flags_tampered_weight_space():
     m = module_of("A1", (2,))
-    tw0 = make_Tw0(m, "braid-product")
+    tw0 = make_Tw0(m)
     rows = {r: {} for r in range(m.dim)}
     for r, c, x in tw0.matrix.to_triplets():
         rows[r][c] = x

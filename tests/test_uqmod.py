@@ -114,14 +114,7 @@ def test_rejects_bad_inputs():
         make_irreducible(A2, (1,))
     affine = make_cartan([[2, -2], [-2, 2]])
     with pytest.raises(ModuleConstructionError):
-        make_irreducible(affine, (1, 0))  # no depth bound supplied
-
-
-def test_truncated_exploration_mode():
-    affine = make_cartan([[2, -2], [-2, 2]])
-    m = make_irreducible(affine, (1, 0), max_depth=3)
-    assert m.dim > 1  # spans something without verification
-    assert make_irreducible(affine, (1, 0), max_depth=3) is not m  # not kept
+        make_irreducible(affine, (1, 0))  # V_lambda is not finite-dimensional
 
 
 def test_irreducibles_and_tensors_are_built_once_per_owner():
