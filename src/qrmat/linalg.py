@@ -10,6 +10,12 @@ matrix keeps its factorization (its inverse) rather than solving again.
 Scalars have one canonical form and no zeros are stored, so equality of
 vectors and matrices is structural and subtracts nothing; subtraction only
 lists where a failed comparison differs.
+
+Clean rows: a SparseMatrix stores no zero entry and no empty row. The public
+constructor enforces this by scanning what it is given. `_of_clean_rows`
+trusts its caller instead and is used only where the rows cannot hold a
+zero: products that drop their cancellations, a transpose, a nonzero scale,
+and the entrywise maps (negation, bar), which send nonzero to nonzero.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ def v_clean(v: Vec) -> Vec:
 def v_add(a: Vec, b: Vec) -> Vec:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k, ZERO) + c
+        x = out.get(k)
+        s = c if x is None else x + c
         if s.is_zero():
             out.pop(k, None)
         else:
@@ -71,6 +78,14 @@ class SparseMatrix:
         self.rows = clean
 
     @staticmethod
+    def _of_clean_rows(nrows: int, ncols: int,
+                       rows: Dict[int, Dict[int, FieldElement]]) -> "SparseMatrix":
+        # the caller guarantees no zero entry and no empty row
+        out = object.__new__(SparseMatrix)
+        out.nrows, out.ncols, out.rows = nrows, ncols, rows
+        return out
+
+    @staticmethod
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(n, n, {i: {i: ONE} for i in range(n)})
 
@@ -83,8 +98,9 @@ class SparseMatrix:
                       trips: Iterable[Tuple[int, int, FieldElement]]) -> "SparseMatrix":
         rows: Dict[int, Dict[int, FieldElement]] = {}
         for i, j, c in trips:
-            rows.setdefault(i, {})
-            rows[i][j] = rows[i].get(j, ZERO) + c
+            row = rows.setdefault(i, {})
+            x = row.get(j)
+            row[j] = c if x is None else x + c
         return SparseMatrix(nrows, ncols, rows)
 
     @staticmethod
@@ -104,12 +120,12 @@ class SparseMatrix:
     def apply(self, v: Vec) -> Vec:
         out: Dict[int, FieldElement] = {}
         for i, row in self.rows.items():
-            acc = ZERO
+            acc = None
             for j, c in row.items():
                 x = v.get(j)
                 if x is not None:
-                    acc = acc + c * x
-            if not acc.is_zero():
+                    acc = c * x if acc is None else acc + c * x
+            if acc is not None and not acc.is_zero():
                 out[i] = acc
         return out
 
@@ -125,14 +141,18 @@ class SparseMatrix:
                 if not orow:
                     continue
                 for j, d in orow.items():
-                    s = acc.get(j, ZERO) + c * d
+                    x = acc.get(j)
+                    if x is None:
+                        acc[j] = c * d
+                        continue
+                    s = x + c * d
                     if s.is_zero():
-                        acc.pop(j, None)
+                        del acc[j]
                     else:
                         acc[j] = s
             if acc:
                 rows[i] = acc
-        return SparseMatrix(self.nrows, other.ncols, rows)
+        return SparseMatrix._of_clean_rows(self.nrows, other.ncols, rows)
 
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
@@ -162,14 +182,13 @@ class SparseMatrix:
     def scale(self, c: FieldElement) -> "SparseMatrix":
         if c.is_zero():
             return SparseMatrix.zeros(self.nrows, self.ncols)
-        return SparseMatrix(self.nrows, self.ncols,
-                            {i: {j: x * c for j, x in r.items()}
-                             for i, r in self.rows.items()})
+        return self.map_entries(lambda x: x * c)
 
     def map_entries(self, fn) -> "SparseMatrix":
-        return SparseMatrix(self.nrows, self.ncols,
-                            {i: {j: fn(x) for j, x in r.items()}
-                             for i, r in self.rows.items()})
+        """Apply fn to every stored entry; fn must send nonzero to nonzero."""
+        return SparseMatrix._of_clean_rows(
+            self.nrows, self.ncols,
+            {i: {j: fn(x) for j, x in r.items()} for i, r in self.rows.items()})
 
     def bar_entries(self) -> "SparseMatrix":
         return self.map_entries(lambda x: x.bar())
@@ -179,7 +198,7 @@ class SparseMatrix:
         for i, r in self.rows.items():
             for j, c in r.items():
                 rows.setdefault(j, {})[i] = c
-        return SparseMatrix(self.ncols, self.nrows, rows)
+        return SparseMatrix._of_clean_rows(self.ncols, self.nrows, rows)
 
     def is_zero(self) -> bool:
         return not self.rows

@@ -14,6 +14,11 @@ Both forms are unique, so equality and hashing are structural, emitted JSON is
 byte-stable, and the denominator never vanishes at q = infinity, which makes
 regularity at infinity a one-line test on the numerator.
 
+The constant 1 is interned: every QLaurent equal to 1, however it was made
+(arithmetic, bar, parsing, copy or pickle), is the one object `_L_ONE`. So
+"the denominator is 1" is the identity test `den is _L_ONE`, and a product
+with the unit returns the other operand without any arithmetic.
+
 The bar involution q -> q^(-1) is exponent negation followed by
 re-canonicalization; it is an exact field automorphism.
 """
@@ -140,6 +145,10 @@ class QLaurent:
     def __mul__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
             return NotImplemented
+        if self is _L_ONE:
+            return other
+        if other is _L_ONE:
+            return self
         if not self.pairs or not other.pairs:
             return _L_ZERO
         s = lcm(self.s, other.s)
@@ -193,7 +202,14 @@ class QLaurent:
 
 
 def _raw(s: int, k: int, pairs: Pairs) -> QLaurent:
-    # caller guarantees the normal form already holds
+    # caller guarantees the normal form already holds; every QLaurent is
+    # made here, so the constant 1 is always the one object _L_ONE
+    if pairs == _ONE_PAIRS and s == 1 and k == 1:
+        return _L_ONE
+    return _alloc(s, k, pairs)
+
+
+def _alloc(s: int, k: int, pairs: Pairs) -> QLaurent:
     out = object.__new__(QLaurent)
     object.__setattr__(out, "s", s)
     object.__setattr__(out, "k", k)
@@ -234,8 +250,9 @@ def _stretch(p: QLaurent, s: int, k: int) -> Pairs:
     return tuple((e * ms, c * mk) for e, c in p.pairs)
 
 
-_L_ZERO = _raw(1, 1, ())
-_L_ONE = _raw(1, 1, ((0, 1),))
+_ONE_PAIRS = ((0, 1),)
+_L_ZERO = _alloc(1, 1, ())
+_L_ONE = _alloc(1, 1, _ONE_PAIRS)
 
 
 def _fmt_terms(terms) -> str:
@@ -367,7 +384,7 @@ class FieldElement:
     def __init__(self, num: QLaurent, den: QLaurent = _L_ONE):
         if not isinstance(num, QLaurent) or not isinstance(den, QLaurent):
             raise TypeError("FieldElement wants QLaurent parts")
-        if den == _L_ONE and not num.is_zero():
+        if den is _L_ONE and num.pairs:
             n, d = num, _L_ONE
         else:
             n, d = laurent_cancel(num, den)
@@ -402,7 +419,7 @@ class FieldElement:
 
     def is_laurent(self) -> bool:
         """True when the denominator is 1."""
-        return self.den == _L_ONE
+        return self.den is _L_ONE
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -421,7 +438,7 @@ class FieldElement:
             return self
         if not self.num.pairs:
             return o
-        if self.den == _L_ONE and o.den == _L_ONE:
+        if self.den is _L_ONE and o.den is _L_ONE:
             return _field_raw(self.num + o.num, _L_ONE)
         if self.den == o.den:
             return FieldElement(self.num + o.num, self.den)
@@ -448,11 +465,18 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # a monomial is a unit: the product keeps the other denominator
-        if o.den == _L_ONE and (self.den == _L_ONE or len(o.num.pairs) == 1):
-            return _field_raw(self.num * o.num, self.den)
-        if self.den == _L_ONE and len(self.num.pairs) == 1:
-            return _field_raw(self.num * o.num, o.den)
+        # the unit is returned as the other factor, and a monomial is a
+        # unit: the product keeps the other denominator
+        if o.den is _L_ONE:
+            if o.num is _L_ONE:
+                return self
+            if self.den is _L_ONE or len(o.num.pairs) == 1:
+                return _field_raw(self.num * o.num, self.den)
+        if self.den is _L_ONE:
+            if self.num is _L_ONE:
+                return o
+            if len(self.num.pairs) == 1:
+                return _field_raw(self.num * o.num, o.den)
         return FieldElement(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -481,12 +505,12 @@ class FieldElement:
             raise TypeError("integer power only")
         if n < 0:
             return self.inv() ** (-n)
-        return _field_raw(self.num ** n, self.den ** n) if self.den == _L_ONE \
+        return _field_raw(self.num ** n, self.den ** n) if self.den is _L_ONE \
             else FieldElement(self.num ** n, self.den ** n)
 
     def bar(self) -> "FieldElement":
         """Apply q -> q^(-1) and re-canonicalize."""
-        if self.den == _L_ONE:  # a Laurent polynomial stays one
+        if self.den is _L_ONE:  # a Laurent polynomial stays one
             return _field_raw(self.num.bar(), _L_ONE)
         return _top_scaled(self.num.bar(), self.den.bar())
 
@@ -513,13 +537,13 @@ class FieldElement:
 
     def __hash__(self) -> int:
         # a rational constant equals its Fraction, so it must hash as one
-        if self.den == _L_ONE and all(e == 0 for e, _ in self.num.pairs):
+        if self.den is _L_ONE and all(e == 0 for e, _ in self.num.pairs):
             return hash(self.num.subs_q_one())
         return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         n = _fmt_terms(self.num.terms) or "0"
-        if self.den == _L_ONE:
+        if self.den is _L_ONE:
             return n
         return f"({n})/({_fmt_terms(self.den.terms)})"
 

@@ -473,9 +473,8 @@ class Commutor:
     """A verified isomorphism V (x) W -> W (x) V (or an endomorphism of
     V (x) W when no flip is involved)."""
 
-    def __init__(self, matrix: SparseMatrix, name: str, flipped: bool):
+    def __init__(self, matrix: SparseMatrix, flipped: bool):
         self.matrix = matrix
-        self.name = name
         self.flipped = flipped
 
 
@@ -500,7 +499,7 @@ def build_commutor(spec: MorphismSpec, bl: BasedModule,
         raise InternalConsistencyError(
             f"{spec.name} commutor does not intertwine the actions: "
             + json.dumps(fails[0]))
-    return Commutor(mat, spec.name, flipped)
+    return Commutor(mat, flipped)
 
 
 def braiding(bl: BasedModule, br: BasedModule) -> Commutor:

@@ -22,7 +22,9 @@ and cached per Cartan matrix.
 """
 
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import islice
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from .bases import operator_from_strings
 from .cartan import CartanDatum
@@ -228,15 +230,15 @@ class TransportedMap:
 
 
 def verify_compatibility(tmap: TransportedMap,
-                         spec: MorphismSpec) -> List[str]:
+                         spec: MorphismSpec) -> Iterator[str]:
     """Exact check of T(X v) = C(X) T(v) on generators and basis vectors.
 
-    Returns one description per failing (generator, basis vector) pair;
-    empty means the compatibility square commutes.
+    Yields one description per failing (generator, basis vector) pair,
+    lazily: a caller stops checking where it stops reading.  Nothing
+    yielded means the compatibility square commutes.
     """
     m = tmap.module
     a = tmap.matrix
-    failures: List[str] = []
     for i in range(m.cartan.n):
         for label, mat, img in (
                 (f"E_{i + 1}", m.E[i], spec.e_image(m, i)),
@@ -248,9 +250,7 @@ def verify_compatibility(tmap: TransportedMap,
                 diff = lhs.sub(rhs)
                 bad = sorted({c for _, c, _ in diff.to_triplets()})
                 for col in bad:
-                    failures.append(
-                        f"{label} compatibility fails at basis vector {col}")
-    return failures
+                    yield f"{label} compatibility fails at basis vector {col}"
 
 
 def _normalize_pins(v0, w0) -> List[Tuple[Vec, Vec]]:
@@ -318,11 +318,11 @@ def transport(m: Module, spec: MorphismSpec,
     cols = [{j - dim: x for j, x in kept.rows[p].items()} for p in range(dim)]
     tmap = TransportedMap(m, SparseMatrix.from_columns(cols, dim),
                           spec.bar_linear, spec.name)
-    failures = verify_compatibility(tmap, spec)
+    failures = list(islice(verify_compatibility(tmap, spec), 3))
     if failures:
         raise InternalConsistencyError(
             f"transport of {spec.name} violates compatibility: "
-            + "; ".join(failures[:3]))
+            + "; ".join(failures))
     return tmap
 
 
@@ -340,11 +340,11 @@ def make_J(m: Module) -> TransportedMap:
         exp = cd.bilinear(wt, wt) / 2 + cd.bilinear(wt, cd.rho)
         rows[idx] = {idx: FieldElement.q_power(exp)}
     tmap = TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False, "J")
-    failures = verify_compatibility(tmap, j_spec())
+    failures = list(islice(verify_compatibility(tmap, j_spec()), 3))
     if failures:
         raise InternalConsistencyError(
             "weight-diagonal J violates C_J compatibility: "
-            + "; ".join(failures[:3]))
+            + "; ".join(failures))
     return tmap
 
 
@@ -454,7 +454,7 @@ def calibrate_braid_variant(cd: CartanDatum) -> str:
             continue
         tmap = TransportedMap(probe, _braid_product(probe, variant), False,
                               f"braid-{variant}")
-        if verify_compatibility(tmap, spec):
+        if next(verify_compatibility(tmap, spec), None) is not None:
             continue
         if not v_eq(tmap.apply(gb.elements[gb.low_vertex]), gb.hw_vec):
             continue
@@ -478,9 +478,9 @@ def make_Tw0(m: Module) -> TransportedMap:
     """
     mat = _braid_product(m, calibrate_braid_variant(m.cartan))
     tmap = TransportedMap(m, mat, False, "tw0-braid")
-    failures = verify_compatibility(tmap, tw0_spec())
+    failures = list(islice(verify_compatibility(tmap, tw0_spec()), 3))
     if failures:
         raise InternalConsistencyError(
             "braid-product T_w0 violates compatibility: "
-            + "; ".join(failures[:3]))
+            + "; ".join(failures))
     return tmap

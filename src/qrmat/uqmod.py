@@ -76,9 +76,11 @@ class Module:
         self._weight_spaces: Dict[WeightT, List[int]] = {}
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
-        # objects derived from this module live on it: divided powers, the
-        # isotypic decomposition, string and crystal data (bases), braid
-        # operators (sysmorph), and V (x) W keyed by the right factor W
+        # objects derived from this module live on it: K_i powers, divided
+        # powers, the isotypic decomposition, string and crystal data
+        # (bases), braid operators (sysmorph), and V (x) W keyed by the
+        # right factor W
+        self._k_cache: Dict[Tuple[int, int], SparseMatrix] = {}
         self._divided_cache: Dict[Tuple[str, int, int], SparseMatrix] = {}
         self._decomposition: Optional[IsotypicDecomposition] = None
         self._bases_cache: dict = {}
@@ -106,11 +108,15 @@ class Module:
         return SparseMatrix(self.dim, self.dim, rows)
 
     def k_i(self, i: int, power: int = 1) -> SparseMatrix:
-        """K_i^power = K_{d_i H_i}^power, diagonal q^(power d_i <H_i, wt>)."""
-        d = self.cartan.d[i]
-        rows = {idx: {idx: FieldElement.q_power(power * d * wt[i])}
-                for idx, wt in enumerate(self.weights)}
-        return SparseMatrix(self.dim, self.dim, rows)
+        """K_i^power = K_{d_i H_i}^power, diagonal q^(power d_i <H_i, wt>);
+        built once per module and shared, so callers must not mutate it."""
+        got = self._k_cache.get((i, power))
+        if got is None:
+            d = self.cartan.d[i]
+            got = self._k_cache[i, power] = SparseMatrix(self.dim, self.dim, {
+                idx: {idx: FieldElement.q_power(power * d * wt[i])}
+                for idx, wt in enumerate(self.weights)})
+        return got
 
     def hw_vector(self) -> Vec:
         if self.hw_index is None:

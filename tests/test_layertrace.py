@@ -1,4 +1,5 @@
-"""The benchmark's per-layer tracer still finds every function it wraps."""
+"""The benchmark still runs against the package: its per-layer tracer finds
+every function it wraps, and its smoke test passes."""
 
 import os
 import subprocess
@@ -23,3 +24,11 @@ def test_tracer_installs_against_the_package():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_smoke_test_passes():
+    # every workload on its tiny deck, traced and untraced, checked against
+    # the reference digests: a kernel change that alters an answer fails here
+    proc = subprocess.run([sys.executable, os.path.join("perfbench", "smoke.py")],
+                          capture_output=True, text=True, timeout=600, cwd=ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -264,3 +264,25 @@ def test_structural_vector_equality_matches_subtraction(ab, col):
 @given(matrices())
 def test_negation_matches_scaling_by_minus_one(a):
     assert -a == a.scale(-ONE) and -(-a) == a
+
+
+def assert_clean(m: SparseMatrix) -> None:
+    assert all(m.rows.values())  # no empty row
+    assert not any(x.is_zero() for r in m.rows.values() for x in r.values())
+    assert m == SparseMatrix(m.nrows, m.ncols, m.rows)  # the checked path
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(), matrices(), scalars.filter(bool))
+def test_unchecked_results_hold_clean_rows(a, b, z):
+    row = a.rows.get(0, {})
+    # row 0 of the product is row0 - row0: every product cancels
+    stack = SparseMatrix(2, a.ncols, {0: row, 1: (-a).rows.get(0, {})})
+    cancel = SparseMatrix(2, 2, {0: {0: ONE, 1: ONE}, 1: {1: z}}) @ stack
+    assert 0 not in cancel.rows and (1 in cancel.rows) == bool(row)
+    c = SparseMatrix(a.ncols, b.nrows,
+                     {i: {i % b.nrows: ONE, 0: z} for i in range(a.ncols)})
+    for m in (cancel, a @ c @ b, a @ a.transpose(), a.transpose(), -a,
+              a.bar_entries(), a.scale(z)):
+        assert_clean(m)
+    assert SparseMatrix(2, 2, {0: {0: ZERO}, 1: {}}).rows == {}

@@ -240,6 +240,43 @@ def test_copy_and_pickle_round_trip(a):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
 
 
+@settings(max_examples=60, deadline=None)
+@given(exponents, rationals.filter(bool), field_elements())
+def test_the_unit_is_interned(e, c, x):
+    # FieldElement tests "den is 1" by identity, so every way of making 1
+    # has to return the one object
+    one = QLaurent.one()
+    mono, fmono = QLaurent.q_power(e, c), FieldElement.q_power(e, c)
+    ones = [
+        QLaurent.q_power(0), QLaurent.const(Fraction(3, 3)),
+        FieldElement.q_power(0).num, -QLaurent.const(-1), -(-one),
+        one.bar(), ONE.bar().num,
+        QLaurent.q_power(e) * QLaurent.q_power(-e),
+        (FieldElement.q_power(e) * FieldElement.q_power(-e)).num,
+        fmono.inv().den, (fmono * fmono.inv()).num,
+        qscalar._top_scaled(mono, mono).num, qscalar._top_scaled(mono, mono).den,
+        mono ** 0, (fmono ** 0).num, (fmono ** 3 * fmono ** -3).num,
+        QLaurent({Fraction(0): Fraction(1)}),
+        QLaurent([(Fraction(0), Fraction(1, 3)), (Fraction(0), Fraction(2, 3))]),
+        QLaurent([(e, c), (0, 1), (e, -c)]) if e else one,
+        FieldElement.from_json_obj(ONE.to_json_obj()).num,
+        FieldElement.from_json_obj(x.to_json_obj()).den if x.is_laurent() else one,
+        copy.copy(one), copy.deepcopy(one), pickle.loads(pickle.dumps(one)),
+        copy.deepcopy(ONE).num, pickle.loads(pickle.dumps(x)).den
+        if x.is_laurent() else one,
+    ]
+    if not x.is_zero():
+        ones += [(x / x).num, (x / x).den, (x * x.inv()).num, x.inv().inv().den
+                 if x.is_laurent() else one, ((x + ONE) - x).num]
+    assert all(u is one for u in ones)
+    assert x.is_laurent() == (x.den == one)
+    assert (x == ONE) == (x.num is one and x.den is one)
+    y = FieldElement(x.num * mono, x.den * mono)
+    assert y == x and hash(y) == hash(x) and y.is_laurent() == x.is_laurent()
+    for z in (x * ONE, ONE * x, x * 1, 1 * x, x + ZERO, ZERO + x):
+        assert z == x and hash(z) == hash(x)
+
+
 _u = sympy.Symbol("u", positive=True)  # q = u^6 makes every exponent integral
 
 

@@ -216,7 +216,7 @@ def test_braid_product_tw0_equals_transported_tw0(label, hw):
 def test_tw0_braid_product_works_on_tensor_modules():
     tm = tensor(module_of("A2", (1, 0)), module_of("A2", (0, 1)))
     tw0 = make_Tw0(tm)
-    assert verify_compatibility(tw0, tw0_spec()) == []
+    assert list(verify_compatibility(tw0, tw0_spec())) == []
     # weight spaces land on the w0-reflected weight
     for col in range(tm.dim):
         target = tm.cartan.apply_w0(tm.weights[col])
@@ -309,7 +309,7 @@ def test_verify_compatibility_flags_tampered_weight_space():
         rows[r][c] = x
     rows.setdefault(1, {})[1] = rows.get(1, {}).get(1, ONE - ONE) + qp(1)
     tampered = TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False)
-    assert verify_compatibility(tampered, tw0_spec()) != []
+    assert list(verify_compatibility(tampered, tw0_spec())) != []
 
 
 def test_scaled_pin_commutes_with_the_action_but_shifts_eigenvalues():
@@ -320,7 +320,7 @@ def test_scaled_pin_commutes_with_the_action_but_shifts_eigenvalues():
     m = gb.module
     q = qp(1)
     scaled = theta_pinned(m, q)
-    assert verify_compatibility(scaled, theta_spec()) == []
+    assert list(verify_compatibility(scaled, theta_spec())) == []
     assert scaled.compose(scaled).is_identity()  # q bar(q) = 1
     honest = theta_of(m)
     assert scaled != honest
@@ -335,7 +335,7 @@ def test_non_monomial_pin_scaling_breaks_the_involution():
     m = module_of("A1", (2,))
     z = ONE + qp(1)
     scaled = theta_pinned(m, z)
-    assert verify_compatibility(scaled, theta_spec()) == []
+    assert list(verify_compatibility(scaled, theta_spec())) == []
     assert not scaled.compose(scaled).is_identity()  # z bar(z) != 1
 
 

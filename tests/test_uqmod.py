@@ -4,13 +4,16 @@ Independent oracles: the Weyl dimension formula for dims, hand-expanded
 sl2 string identities, and hand-derived coproduct matrix entries.
 """
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
+from qrmat import cli
 from qrmat.cartan import make_cartan
-from qrmat.linalg import v_eq, v_is_zero, v_scale, v_sub
-from qrmat.qscalar import ONE, Q, q_int
+from qrmat.linalg import SparseMatrix, v_eq, v_is_zero, v_scale, v_sub
+from qrmat.qscalar import ONE, FieldElement, Q, q_int
 from qrmat.uqmod import (
     InternalConsistencyError,
     Module,
@@ -130,6 +133,42 @@ def test_irreducibles_and_tensors_are_built_once_per_owner():
     refs = {c.nu: c.ref for c in dec.components}
     assert refs == {(1, 1): make_irreducible(cd, (1, 1)),
                     (0, 0): make_irreducible(cd, (0, 0))}
+
+
+def fresh_k(m: Module, i: int, power: int) -> SparseMatrix:
+    d = m.cartan.d[i]
+    return SparseMatrix(m.dim, m.dim, {
+        idx: {idx: FieldElement.q_power(power * d * wt[i])}
+        for idx, wt in enumerate(m.weights)})
+
+
+def test_k_powers_are_built_once_per_module():
+    m = make_irreducible(B2, (1, 1))
+    for i in range(B2.n):
+        for p in (-1, 1, 2):
+            assert m.k_i(i, p) is m.k_i(i, p)
+            assert m.k_i(i, p) == fresh_k(m, i, p)
+    assert m.k_i(0, 1) is not tensor(m, m).k_i(0, 1)
+
+
+def test_shared_k_powers_survive_a_verify_suite():
+    # every caller reads the one memoised diagonal, so none may mutate it
+    with contextlib.redirect_stdout(io.StringIO()):
+        for suite in ("method-agreement", "ybe", "gamma-lemma"):
+            assert cli.main(["verify", "--type", "B2", "--hw", "1,0",
+                             "--hw", "0,1", "--suite", suite]) == 0
+    todo = [bm.module for (label, _), bm in cli._based_cache.items()
+            if label == "B2"]
+    seen = []
+    while todo:
+        m = todo.pop()
+        if all(m is not s for s in seen):
+            seen.append(m)
+            todo.extend(m._tensors.values())
+    memos = [(m, key, k) for m in seen for key, k in m._k_cache.items()]
+    assert len(seen) >= 4 and len(memos) >= 16
+    for m, (i, p), k in memos:
+        assert k == fresh_k(m, i, p)
 
 
 # -- tensor products ---------------------------------------------------------------
