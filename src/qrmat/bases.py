@@ -24,7 +24,7 @@ from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
                      v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
-                    isotypic_decomposition, kron_vec, tensor)
+                    kron_vec, tensor, weight_split)
 
 ResidueT = Tuple[Fraction, ...]
 WeightT = Tuple[int, ...]
@@ -965,7 +965,8 @@ def cross_validate_tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> Crystal
 def highest_weight_set(vlam: Module, bmu: GlobalBasis, nu: Sequence[int]
                        ) -> List[int]:
     """S^nu: vertices b of the right crystal with b_lambda x b highest of
-    weight nu, cross-checked against the isotypic decomposition."""
+    weight nu, cross-checked against the highest weight vectors of weight
+    nu and the projection onto them (uqmod.weight_split)."""
     nu = tuple(int(x) for x in nu)
     bl = crystal_graph(vlam)
     pair = tensor_crystal(bl, bmu.crystal)
@@ -976,16 +977,14 @@ def highest_weight_set(vlam: Module, bmu: GlobalBasis, nu: Sequence[int]
             out.append(b)
     out.sort()
 
-    tm = tensor(vlam, bmu.module)
-    dec = isotypic_decomposition(tm)
-    comps = dec.block(nu)
-    if len(comps) != len(out):
+    split = weight_split(tensor(vlam, bmu.module), nu)
+    if len(split.hw_vectors) != len(out):
         raise InternalConsistencyError(
             f"|S^{nu}| = {len(out)} but the isotypic multiplicity is "
-            f"{len(comps)}")
+            f"{len(split.hw_vectors)}")
     for b in out:
         vec = kron_vec(vlam.hw_vector(), bmu.elements[b], bmu.module.dim)
-        if v_is_zero(dec.project(vec, *comps)):
+        if v_is_zero(split.hw_part(vec)):
             raise InternalConsistencyError(
                 f"crystal predicts vertex {b} in S^{nu} but the isotypic "
                 f"projection vanishes")

@@ -23,13 +23,13 @@ scaling independence) report counterexamples with both sides' values.
 
 Every built object has one owner and lives as long as it does.  The
 Cartan datum owns each V_nu (uqmod.make_irreducible), and a module owns
-its crystal, global basis and its tensor products with right factors.  A
-summand of a based tensor product reads the global basis of its V_nu on
-first use (BasedComponent.ref_gb), so a summand basis that no request
-reads is neither built nor verified.  A
-based module owns the maps of every system transported on it (system_on,
-keyed by the system's name: Theta, Gamma, bar) and, weakly keyed by the
-right factor, its based tensor products; a based tensor product owns its
+its crystal, global basis, weight splits and its tensor products with
+right factors.  A summand of a based tensor product reads its V_nu and
+that module's global basis on first use (BasedComponent.ref, ref_gb), so
+r_theta, which reads neither, builds and verifies neither.  A based
+module owns the maps of every system transported on it (system_on, keyed
+by the system's name: Theta, Gamma, bar) and, weakly keyed by the right
+factor, its based tensor products; a based tensor product owns its
 braiding.  Nothing is keyed by object identity at module level, so
 objects a caller drops are freed.
 """
@@ -48,7 +48,7 @@ from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
                        k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
                        transport)
 from .uqmod import (InternalConsistencyError, Module, isotypic_decomposition,
-                    kron_vec, make_irreducible, tensor)
+                    kron_vec, make_irreducible, tensor, weight_split)
 
 WeightT = Tuple[int, ...]
 
@@ -62,20 +62,27 @@ class BasedComponent:
     element inside the ambient module, and the intertwiner from the
     abstract V_nu (basis-aligned with ref_gb) into the ambient module.
 
-    ref_gb, the global basis of V_nu, and embed are built on first read
-    unless given, and kept on the component; a summand whose basis no
-    request reads never builds or verifies it.
+    ref, the datum's V_nu, its global basis ref_gb and embed are built on
+    first read unless given, and kept on the component; a summand whose
+    basis no request reads never builds or verifies them.
     """
 
     def __init__(self, module: Module, nu: WeightT, hw_vec: Vec,
-                 ref: Module, ref_gb: Optional[GlobalBasis] = None,
+                 ref: Optional[Module] = None,
+                 ref_gb: Optional[GlobalBasis] = None,
                  embed: Optional[SparseMatrix] = None):
         self.module = module
         self.nu = tuple(int(x) for x in nu)
         self.hw_vec = hw_vec
-        self.ref = ref
+        self._ref = ref
         self._ref_gb = ref_gb
         self._embed = embed
+
+    @property
+    def ref(self) -> Module:
+        if self._ref is None:
+            self._ref = make_irreducible(self.module.cartan, self.nu)
+        return self._ref
 
     @property
     def ref_gb(self) -> GlobalBasis:
@@ -146,16 +153,17 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
 
     For each pair of summands and each highest weight vertex (0, b) of
     their combinatorial pair crystal, the pin of weight nu is the
-    nu-isotypic projection of (left pin) (x) (right basis element b); the
-    projection lands in the top weight space of the nu block, hence is a
-    highest weight vector, and equals the class predicted by the crystal.
-    Built once per factor pair and kept on the left factor.
+    component of (left pin) (x) (right basis element b), a vector of
+    weight nu, in ker E along im F (uqmod.weight_split): its nu-isotypic
+    projection, a highest weight vector in the class the crystal
+    predicts.  The crystal's multiplicities must equal dim (ker E)_nu at
+    every dominant weight.  Built once per factor pair and kept on the
+    left factor.
     """
     hit = bl._tensors.get(br)
     if hit is not None:
         return hit
     big = tensor(bl.module, br.module)
-    dec = isotypic_decomposition(big)
     comps: List[BasedComponent] = []
     for lcomp in bl.components:
         lcry = crystal_graph(lcomp.ref)
@@ -171,27 +179,22 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
                 nu = tuple(int(x) for x in pair.weight(enc))
                 x = kron_vec(lcomp.hw_vec, rcomp.basis_element(b),
                              br.module.dim)
-                h = dec.project(x, *dec.block(nu))
+                h = weight_split(big, nu).hw_part(x)
                 if v_is_zero(h):
                     raise InternalConsistencyError(
                         f"isotypic projection of the predicted pin for "
                         f"weight {nu} is zero")
-                for i in range(big.cartan.n):
-                    if not v_is_zero(big.E[i].apply(h)):
-                        raise InternalConsistencyError(
-                            "tensor pin is not a highest weight vector")
-                comps.append(BasedComponent(
-                    big, nu, h, make_irreducible(big.cartan, nu)))
+                comps.append(BasedComponent(big, nu, h))
     counts: Dict[WeightT, int] = {}
     for c in comps:
         counts[c.nu] = counts.get(c.nu, 0) + 1
-    dec_counts: Dict[WeightT, int] = {}
-    for c in dec.components:
-        dec_counts[c.nu] = dec_counts.get(c.nu, 0) + 1
-    if counts != dec_counts:
+    hw_counts = {nu: len(weight_split(big, nu).hw_vectors)
+                 for nu in big.weight_multiplicities()
+                 if big.cartan.is_dominant(nu)}
+    if counts != {nu: k for nu, k in hw_counts.items() if k}:
         raise InternalConsistencyError(
-            f"crystal predicts multiplicities {counts} but the isotypic "
-            f"decomposition has {dec_counts}")
+            f"crystal predicts multiplicities {counts} but the highest "
+            f"weight vectors give {hw_counts}")
     out = BasedModule(big, comps)
     bl._tensors[br] = out
     return out

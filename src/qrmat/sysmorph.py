@@ -6,10 +6,10 @@ F_i, K_i, whether it is q-linear or bar-linear, how it meets the
 coproduct, and the value it takes on each summand's highest weight pin.
 A TransportedMap is the unique endomorphism T of a module satisfying
 T(X v) = C(X) T(v) for all generators X, pinned by its value on one cyclic
-vector per component.  transport propagates the pins along E- and F-words,
-solves for the matrix in one elimination that also checks every propagated
-pair, and reverifies the compatibility square on every generator before
-returning.
+vector per component.  transport propagates the pins along F-words, and
+along E-words only where F stalls, solves for the matrix in one elimination
+that also checks every propagated pair, and reverifies the compatibility
+square on every generator before returning.
 
 Bar-linear maps are stored as (matrix, flag) with the convention "apply
 coefficient-wise bar first, then the matrix"; composing two bar-linear maps
@@ -266,20 +266,24 @@ def transport(m: Module, spec: MorphismSpec,
               w0: Union[Vec, Sequence[Vec]]) -> TransportedMap:
     """The endomorphism compatible with spec sending each v0 to its w0.
 
-    Pins are propagated along E- and F-words (T(X x) = C(X) T(x)); the
-    propagated pairs must span the module, which holds exactly when the pins
-    generate it (one cyclic vector per component).  Every pair enters one
-    incremental elimination as the row (source | target), with bar(source)
-    for a bar-linear spec and the target in columns dim + j.  Once the
-    sources span, the kept rows are (I | A^T); a pair whose source reduces
-    to zero but leaves a target residual is inconsistent and raises.  The
-    matrix is then verified against the full compatibility square.
+    Pins are propagated along F-words (T(F x) = C(F) T(x)), and along E
+    only when F stalls: highest weight pins generate their summands under
+    F alone, lowest pins (the tw0_spec cross-check) need E.  The
+    propagated pairs must span the module, which holds exactly when the
+    pins generate it (one cyclic vector per component); if every new
+    source has met E and F and the span is short, transport raises.
+    Every pair enters one incremental elimination as the row (source |
+    target), with bar(source) for a bar-linear spec and the target in
+    columns dim + j.  Once the sources span, the kept rows are (I | A^T),
+    whichever pairs entered; a pair whose source reduces to zero but
+    leaves a target residual is inconsistent and raises.  The matrix is
+    then verified against the full compatibility square.
     """
     pins = _normalize_pins(v0, w0)
     if not pins or any(v_is_zero(s) for s, _ in pins):
         raise ModuleConstructionError("transport wants nonzero pin sources")
-    gens = [(m.E[i], spec.e_image(m, i)) for i in range(m.cartan.n)]
-    gens += [(m.F[i], spec.f_image(m, i)) for i in range(m.cartan.n)]
+    f_gens = [(m.F[i], spec.f_image(m, i)) for i in range(m.cartan.n)]
+    e_gens = [(m.E[i], spec.e_image(m, i)) for i in range(m.cartan.n)]
     dim = m.dim
     kept = Echelon()
     pairs: List[Tuple[Vec, Vec]] = list(pins)
@@ -295,10 +299,18 @@ def transport(m: Module, spec: MorphismSpec,
                 f"pair {k}")
         return kept.add(r)
 
-    frontier = list(range(len(pairs)))
-    spanned = sum(take(k) for k in frontier)
+    # new sources that F, and E, have not yet been applied to
+    f_todo = [k for k in range(len(pairs)) if take(k)]
+    e_todo = list(f_todo)
+    spanned = len(f_todo)
     while spanned < dim:
-        nxt: List[int] = []
+        if f_todo:
+            frontier, gens, f_todo = f_todo, f_gens, []
+        elif e_todo:
+            frontier, gens, e_todo = e_todo, e_gens, []
+        else:
+            raise ModuleConstructionError(
+                "pins do not generate the module under the E/F action")
         for idx in frontier:
             src, dst = pairs[idx]
             for act, img in gens:
@@ -307,12 +319,9 @@ def transport(m: Module, spec: MorphismSpec,
                     continue
                 pairs.append((s2, v_clean(img.apply(dst))))
                 if take(len(pairs) - 1):
-                    nxt.append(len(pairs) - 1)
-        if not nxt:
-            raise ModuleConstructionError(
-                "pins do not generate the module under the E/F action")
-        spanned += len(nxt)
-        frontier = nxt
+                    f_todo.append(len(pairs) - 1)
+                    e_todo.append(len(pairs) - 1)
+                    spanned += 1
 
     # kept row p is (e_p | column p of A)
     cols = [{j - dim: x for j, x in kept.rows[p].items()} for p in range(dim)]

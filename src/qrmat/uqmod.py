@@ -30,6 +30,7 @@ from .linalg import (
     Vec,
     inverse,
     kernel,
+    rref,
     v_add,
     v_clean,
     v_is_zero,
@@ -77,12 +78,14 @@ class Module:
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
         # objects derived from this module live on it: K_i powers, divided
-        # powers, the isotypic decomposition, string and crystal data
-        # (bases), braid operators (sysmorph), and V (x) W keyed by the
-        # right factor W
+        # powers, the isotypic decomposition (for the checks that read
+        # whole summands), the per-weight splits that tensor pins are
+        # projected with, string and crystal data (bases), braid operators
+        # (sysmorph), and V (x) W keyed by the right factor W
         self._k_cache: Dict[Tuple[int, int], SparseMatrix] = {}
         self._divided_cache: Dict[Tuple[str, int, int], SparseMatrix] = {}
         self._decomposition: Optional[IsotypicDecomposition] = None
+        self._splits: Dict[WeightT, WeightSplit] = {}
         self._bases_cache: dict = {}
         self._braid_cache: Dict[Tuple[int, str], SparseMatrix] = {}
         self._tensors: Dict[Module, Module] = {}
@@ -450,6 +453,60 @@ def highest_weight_vectors(m: Module, nu: Sequence[int]) -> List[Vec]:
     for kv in kernel(stacked):
         out.append(v_clean({idx[local]: c for local, c in kv.items()}))
     return out
+
+
+class WeightSplit:
+    """M_nu = (ker E)_nu (+) (im F)_nu for one weight nu of a finite-
+    dimensional module.
+
+    A summand of highest weight above nu meets M_nu inside the image of
+    F, and a summand of highest weight nu meets it in its highest weight
+    vector, so the component of a weight-nu vector in ker E along im F is
+    its nu-isotypic projection.
+    """
+
+    def __init__(self, hw_vectors: List[Vec], projector: SparseMatrix):
+        self.hw_vectors = hw_vectors
+        self.projector = projector
+
+    def hw_part(self, v: Vec) -> Vec:
+        """The ker E component of a weight-nu vector."""
+        return v_clean(self.projector.apply(v))
+
+
+def weight_split(m: Module, nu: Sequence[int]) -> WeightSplit:
+    """The split of the nu weight space into ker E and im F, built once
+    per module and weight; raises unless the two dimensions add up to the
+    multiplicity and the parts are independent."""
+    nu = tuple(int(x) for x in nu)
+    got = m._splits.get(nu)
+    if got is not None:
+        return got
+    idx = m.weight_space(nu)
+    hw = highest_weight_vectors(m, nu)
+    images: List[Vec] = []
+    for i in range(m.cartan.n):
+        src = m.weight_space(m.weight_plus_alpha(nu, i))
+        images.extend(m.F[i].restrict(idx, src).transpose().rows.values())
+    im_f = list(rref(images, len(idx))[0].values())
+    if len(hw) + len(im_f) != len(idx):
+        raise InternalConsistencyError(
+            f"at weight {nu}, dim (ker E) = {len(hw)} and rank (im F) = "
+            f"{len(im_f)} do not add up to the multiplicity {len(idx)}")
+    pos = {t: k for k, t in enumerate(idx)}
+    cols = [{pos[t]: c for t, c in v.items()} for v in hw] + im_f
+    try:
+        coords = inverse(SparseMatrix.from_columns(cols, len(idx)))
+    except ValueError as exc:
+        raise InternalConsistencyError(
+            f"ker E and im F meet at weight {nu}") from exc
+    # row r < len(hw) of coords reads off the coefficient of hw[r]
+    to_hw = SparseMatrix(len(hw), m.dim, {
+        r: {idx[c]: x for c, x in coords.rows.get(r, {}).items()}
+        for r in range(len(hw))})
+    projector = SparseMatrix.from_columns(hw, m.dim) @ to_hw
+    got = m._splits[nu] = WeightSplit(hw, projector)
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ ORACLES = {
            "denominators with",
     "valuation": "bottom exponent, which the random-exponent property "
                  "test bounds spans with",
+    "project": "full isotypic projector the weight-space pin split is "
+               "tested against",
 }
 
 # defaulted parameters that no call in the package or the benchmark passes

@@ -146,7 +146,28 @@ def test_each_irreducible_is_built_once_per_datum(label, lam, mu,
     br = based_irreducible(make_irreducible(cd, mu))
     for method in ("theta", "krls", "oracle"):
         r_matrix(bl, br, method)
-    assert len(built) == 4
+    # the routes build the factors only: no route reads a summand's V_nu
+    assert built == list(dict.fromkeys([bl.module, br.module]))
+    summands = based_tensor(bl, br).components
+    refs = [c.ref for c in summands]
+    assert [c.ref for c in summands] == refs
+    assert all(c.ref is make_irreducible(cd, c.nu) for c in summands)
+    assert len(built) == len(set(built)) == \
+        len({lam, mu} | {c.nu for c in summands})
+
+
+def test_based_tensor_rejects_a_split_missing_a_highest_weight_vector(
+        monkeypatch):
+    # A2 V(1,0) (x) V(1,0) = V(2,0) + V(0,1); lose the (0,1) pin's vector
+    cd = make_cartan("A2")
+    bl = based_irreducible(make_irreducible(cd, (1, 0)))
+    real = uqmod.highest_weight_vectors
+    monkeypatch.setattr(
+        uqmod, "highest_weight_vectors",
+        lambda m, nu: real(m, nu)[1:] if tuple(nu) == (0, 1)
+        else real(m, nu))
+    with pytest.raises(InternalConsistencyError, match="do not add up"):
+        based_tensor(bl, bl)
 
 
 # -- the three constructions --------------------------------------------------

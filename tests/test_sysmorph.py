@@ -9,7 +9,7 @@ from qrmat.bases import compute_global_basis
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement
-from qrmat.rmatrix import based_irreducible, system_on
+from qrmat.rmatrix import based_irreducible, based_tensor, system_on
 from qrmat.sysmorph import (TransportedMap, bar_spec, braid_operator,
                             braid_relations_hold, calibrate_braid_variant,
                             gamma_spec, identity_spec, j_spec, k_2rho,
@@ -205,12 +205,16 @@ def test_braid_operator_maps_weight_spaces_by_simple_reflection():
 
 
 @pytest.mark.parametrize("label,hw", [("A1", (2,)), ("A2", (1, 1)),
-                                      ("B2", (0, 1))])
+                                      ("B2", (0, 1)), ("A2", (1, 0)),
+                                      ("A2", (2, 1)), ("B2", (1, 0)),
+                                      ("B2", (1, 1))])
 def test_braid_product_tw0_equals_transported_tw0(label, hw):
     gb = gb_of(label, hw)
     m = gb.module
-    assert make_Tw0(m) == transport(m, tw0_spec(), gb.elements[gb.low_vertex],
-                                    gb.hw_vec)
+    low = gb.elements[gb.low_vertex]
+    # F kills the lowest pin, so only transport's E fallback leaves it
+    assert all(m.F[i].apply(low) == {} for i in range(m.cartan.n))
+    assert make_Tw0(m) == transport(m, tw0_spec(), low, gb.hw_vec)
 
 
 def test_tw0_braid_product_works_on_tensor_modules():
@@ -243,6 +247,21 @@ def test_transport_rejects_pins_that_do_not_generate():
     pin = {0: ONE}  # highest vector of the three dimensional component
     with pytest.raises(ModuleConstructionError):
         transport(tm, identity_spec(), pin, pin)
+
+
+@pytest.mark.parametrize("which", ["highest", "lowest"])
+def test_transport_rejects_pins_of_one_tensor_summand(which):
+    # the pins of one summand generate that summand only, along F and E
+    bt = based_tensor(based_irreducible(module_of("A2", (1, 0))),
+                      based_irreducible(module_of("A2", (1, 0))))
+    assert len(bt.components) == 2
+    comp = bt.components[0]
+    if which == "highest":
+        spec, src, dst = identity_spec(), comp.hw_vec, comp.hw_vec
+    else:
+        spec, src, dst = tw0_spec(), comp.lowest_element(), comp.hw_vec
+    with pytest.raises(ModuleConstructionError, match="pins do not generate"):
+        transport(bt.module, spec, src, dst)
 
 
 def test_transport_rejects_zero_pin():

@@ -23,6 +23,7 @@ from qrmat.uqmod import (
     make_irreducible,
     tensor,
     verify_module,
+    weight_split,
 )
 
 A1 = make_cartan("A1")
@@ -274,6 +275,26 @@ def test_projections_resolve_identity():
         for c in range(len(dec.components)):
             back = v_sub(back, v_scale(dec.project(vec, c), -ONE))
         assert v_eq(back, vec)
+
+
+@pytest.mark.parametrize("label,lam,mu", [("A2", (1, 1), (1, 0)),
+                                          ("B2", (1, 0), (0, 1)),
+                                          ("G2", (1, 0), (0, 1))])
+def test_weight_split_projection_equals_isotypic_projection(label, lam, mu):
+    cd = make_cartan(label)
+    t = tensor(make_irreducible(cd, lam), make_irreducible(cd, mu))
+    dec = isotypic_decomposition(t)
+    for nu in t.weight_multiplicities():
+        split = weight_split(t, nu)
+        assert len(split.hw_vectors) == len(dec.block(nu))
+        for idx in t.weight_space(nu):
+            x = {idx: ONE}
+            assert split.hw_part(x) == dec.project(x, *dec.block(nu))
+
+
+def test_weight_split_is_built_once_per_module_and_weight():
+    t = tensor(make_irreducible(A2, (1, 0)), make_irreducible(A2, (1, 0)))
+    assert weight_split(t, (0, 1)) is weight_split(t, [0, 1])
 
 
 # -- serialization ---------------------------------------------------------------------
