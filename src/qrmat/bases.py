@@ -666,9 +666,10 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
     replaces the rest through the exact window solve, whose generators are
     the monomials of the vertices at that weight, one per vertex.  Generators
     that do not span the integral slice make the solve raise; they never
-    yield a wrong basis.  Every characterizing condition is reverified before
-    the basis is returned, so a bug upstream surfaces as an error here, not
-    as a wrong basis.
+    yield a wrong basis.  Every characterizing condition, bar-fixedness
+    included, is decided once by verify_global_basis before the basis is
+    returned, so a bug upstream surfaces as an error here, not as a wrong
+    basis.
     """
     cache = m._bases_cache
     if hw_vec is None and "global" in cache:
@@ -687,9 +688,6 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
             "highest weight pin must be supported on the single top line")
     (_, c), = seed.items()
     bar_scalar = c / c.bar()
-
-    def bar_m(v: Vec) -> Vec:
-        return v_scale(v_bar(v), bar_scalar)
 
     crystal = crystal_graph(m, seed if hw_vec is not None else None)
 
@@ -710,9 +708,6 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
         if not _fits_vertex(frame, frame.coords(g), want):
             g = _triangular_solve(frame, at_weight[wt], want,
                                   f"vertex {v} at weight {wt}")
-        if not v_eq(bar_m(g), g):
-            raise InternalConsistencyError(
-                f"global element at vertex {v} is not bar-fixed")
         elements.append(g)
 
     gb = GlobalBasis(m, crystal, elements, seed, bar_scalar, words)

@@ -195,8 +195,6 @@ def _ybe_modules(args, cd: CartanDatum) -> List[WeightT]:
 
 
 def _crossval_report(label: str, lam: WeightT, mu: WeightT) -> CheckReport:
-    from time import perf_counter
-    t0 = perf_counter()
     ml, mr = _module_of(label, lam), _module_of(label, mu)
     ces: List[dict] = []
     try:
@@ -207,12 +205,10 @@ def _crossval_report(label: str, lam: WeightT, mu: WeightT) -> CheckReport:
             highest_weight_set(ml, gb, nu)
     except InternalConsistencyError as exc:
         ces.append({"check": "crystal cross-validation", "detail": str(exc)})
-    return CheckReport("crystal-crossval", ces, perf_counter() - t0)
+    return CheckReport("crystal-crossval", ces)
 
 
 def _module_relations_report(label: str, hw: WeightT) -> CheckReport:
-    from time import perf_counter
-    t0 = perf_counter()
     m = _module_of(label, hw)
     ces: List[dict] = []
     try:
@@ -226,7 +222,7 @@ def _module_relations_report(label: str, hw: WeightT) -> CheckReport:
                         "detail": "matrices differ"})
     except InternalConsistencyError as exc:
         ces.append({"check": "module relations", "detail": str(exc)})
-    return CheckReport("module-relations", ces, perf_counter() - t0)
+    return CheckReport("module-relations", ces)
 
 
 def _run_suite(suite: str, args, cd: CartanDatum, fault: Optional[str]

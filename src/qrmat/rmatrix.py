@@ -36,7 +36,6 @@ objects a caller drops are freed.
 
 import json
 import weakref
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
@@ -48,7 +47,8 @@ from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
                        k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
                        transport)
 from .uqmod import (InternalConsistencyError, Module, isotypic_decomposition,
-                    kron_vec, make_irreducible, tensor, weight_split)
+                    kron_vec, make_irreducible, summand_order_key, tensor,
+                    weight_split)
 
 WeightT = Tuple[int, ...]
 
@@ -519,12 +519,10 @@ def braiding(bl: BasedModule, br: BasedModule) -> Commutor:
 # ---------------------------------------------------------------------------
 
 class CheckReport:
-    def __init__(self, name: str, counterexamples: List[dict],
-                 seconds: float):
+    def __init__(self, name: str, counterexamples: List[dict]):
         self.name = name
         self.counterexamples = counterexamples
         self.passed = not counterexamples
-        self.seconds = seconds
 
     def to_json_obj(self) -> dict:
         return {"name": self.name, "pass": self.passed,
@@ -533,10 +531,6 @@ class CheckReport:
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
         return f"CheckReport({self.name}: {state})"
-
-
-def _report(name: str, t0: float, ces: List[dict]) -> CheckReport:
-    return CheckReport(name, ces, perf_counter() - t0)
 
 
 RESCALE_COEFFS: Tuple[FieldElement, ...] = (
@@ -557,7 +551,6 @@ def check_method_agreement(bl: BasedModule, br: BasedModule,
     """r_theta == r_krls == r_oracle entrywise, and (with rescale) r_theta
     is invariant under rescaling both factor pins by each fixed test
     coefficient."""
-    t0 = perf_counter()
     rt = r_theta(bl, br, wrong_sign=wrong_sign)
     rk = r_krls(bl, br)
     ro = r_oracle(bl, br)
@@ -565,30 +558,22 @@ def check_method_agreement(bl: BasedModule, br: BasedModule,
     ces += _matrix_counterexamples("theta vs krls", rt.matrix, rk.matrix)
     ces += _matrix_counterexamples("theta vs oracle", rt.matrix, ro.matrix)
     if rescale and not ces:
-        base = rt.serialize()
         for z in RESCALE_COEFFS:
-            bl2 = _rescaled_factor(bl.module, z)
-            br2 = _rescaled_factor(br.module, z)
-            redo = r_theta(bl2, br2).serialize()
-            if redo != base:
-                mat2 = r_theta(bl2, br2).matrix
-                ces += _matrix_counterexamples(
-                    f"rescaled pins by {z}", mat2, rt.matrix)
-    return _report("method-agreement", t0, ces)
+            redo = r_theta(_rescaled_factor(bl.module, z),
+                           _rescaled_factor(br.module, z))
+            ces += _matrix_counterexamples(
+                f"rescaled pins by {z}", redo.matrix, rt.matrix)
+    return CheckReport("method-agreement", ces)
 
 
 def check_scaling(bl: BasedModule, br: BasedModule) -> CheckReport:
-    """Byte-identical r_theta under rescaling each hw pin separately, and
-    the component Theta scales by exactly z/bar(z)."""
-    t0 = perf_counter()
-    ces: List[dict] = []
-    base = r_theta(bl, br)
-    base_bytes = base.serialize()
-    redo_bytes = r_theta(based_irreducible(bl.module),
-                         based_irreducible(br.module)).serialize()
-    if redo_bytes != base_bytes:
-        ces.append({"check": "rebuild determinism", "lhs": "differs",
-                    "rhs": "expected identical serialization"})
+    """Identical r_theta under rescaling each hw pin separately, and the
+    component Theta scales by exactly z/bar(z).  Entries are canonical, so
+    equal matrices serialize to the same bytes."""
+    base = r_theta(bl, br).matrix
+    redo = r_theta(based_irreducible(bl.module),
+                   based_irreducible(br.module))
+    ces = _matrix_counterexamples("rebuild determinism", redo.matrix, base)
     theta = theta_spec()
     theta_base = {"left": system_on(bl, theta), "right": system_on(br, theta)}
     for z in RESCALE_COEFFS:
@@ -601,12 +586,9 @@ def check_scaling(bl: BasedModule, br: BasedModule) -> CheckReport:
             ces += _matrix_counterexamples(
                 f"theta component scaling z={z} {side}",
                 scaled.matrix, want)
-            got = r_theta(bl2, br2).serialize()
-            if got != base_bytes:
-                ces += _matrix_counterexamples(
-                    f"rescale {side} pin by {z}",
-                    r_theta(bl2, br2).matrix, base.matrix)
-    return _report("scaling", t0, ces)
+            ces += _matrix_counterexamples(
+                f"rescale {side} pin by {z}", r_theta(bl2, br2).matrix, base)
+    return CheckReport("scaling", ces)
 
 
 def scale_isotypic_block(mat: SparseMatrix, big: Module, index: int,
@@ -631,7 +613,6 @@ def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
     perturb="scale-block" multiplies one isotypic block of sigma_{V,W} by q
     before checking; the report must then carry a counterexample.
     """
-    t0 = perf_counter()
     du, dv, dw = bu.module.dim, bv.module.dim, bw.module.dim
     s_vw = braiding(bv, bw).matrix
     if perturb == "scale-block":
@@ -655,7 +636,7 @@ def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
                                   lhs1, s_uv_w)
     ces += _matrix_counterexamples("(Id x s_UW)(s_UV x Id) vs s_{U,VW}",
                                    lhs2, s_u_vw)
-    return _report("hexagon", t0, ces)
+    return CheckReport("hexagon", ces)
 
 
 def check_ybe(bv: BasedModule, wrong_flip: bool = False,
@@ -670,7 +651,6 @@ def check_ybe(bv: BasedModule, wrong_flip: bool = False,
     isotypic block of sigma by q; that stays a module map but breaks the
     braid relation.
     """
-    t0 = perf_counter()
     d = bv.module.dim
     big = tensor(bv.module, bv.module)
     if wrong_flip:
@@ -687,12 +667,11 @@ def check_ybe(bv: BasedModule, wrong_flip: bool = False,
     b = kron_matrix(SparseMatrix.identity(d), s)
     ces += _matrix_counterexamples("braid relation on V (x) V (x) V",
                                    a @ b @ a, b @ a @ b)
-    return _report("ybe", t0, ces)
+    return CheckReport("ybe", ces)
 
 
 def check_gamma_lemma(bl: BasedModule, br: BasedModule) -> CheckReport:
     """(Gamma_V (x) Gamma_W) o Gamma_{V (x) W}^-1 acts as the identity."""
-    t0 = perf_counter()
     bt = based_tensor(bl, br)
     gamma = gamma_spec()
     comp = tensor_of_maps(system_on(bl, gamma), system_on(br, gamma),
@@ -705,7 +684,7 @@ def check_gamma_lemma(bl: BasedModule, br: BasedModule) -> CheckReport:
         ces = _matrix_counterexamples(
             "(Gamma x Gamma) Gamma_VW^-1 vs identity", comp.matrix,
             SparseMatrix.identity(bt.module.dim))
-    return _report("gamma-lemma", t0, ces)
+    return CheckReport("gamma-lemma", ces)
 
 
 def check_lemma_identities(bm: BasedModule) -> CheckReport:
@@ -720,7 +699,6 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
       5. Gamma^-1 Theta = J T_w0
       6. Theta o Theta = id
     """
-    t0 = perf_counter()
     m = bm.module
     cd = bm.cartan
     theta = system_on(bm, theta_spec())
@@ -768,13 +746,12 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
         ces.extend(_matrix_counterexamples(
             "Theta o Theta vs identity", comp2.matrix,
             SparseMatrix.identity(m.dim)))
-    return _report("lemma-identities", t0, ces)
+    return CheckReport("lemma-identities", ces)
 
 
 def check_normalization(bl: BasedModule, br: BasedModule) -> CheckReport:
     """R(b_lambda (x) c) = q^((lambda, wt c)) b_lambda (x) c for every
     global basis element c of the right factor."""
-    t0 = perf_counter()
     if len(bl.components) != 1:
         raise ValueError("normalization row wants an irreducible left factor")
     result = r_theta(bl, br)
@@ -796,7 +773,7 @@ def check_normalization(bl: BasedModule, br: BasedModule) -> CheckReport:
                             "lhs": _vec_json(got), "rhs": _vec_json(want)})
                 if len(ces) >= 3:
                     break
-    return _report("normalization", t0, ces)
+    return CheckReport("normalization", ces)
 
 
 def _vec_json(v: Vec) -> list:
@@ -805,15 +782,16 @@ def _vec_json(v: Vec) -> list:
 
 def check_double_braiding(bl: BasedModule, br: BasedModule
                           ) -> Tuple[CheckReport, List[dict]]:
-    """sigma_{W,V} o sigma_{V,W} acts as a scalar on each isotypic
-    component; the scalars are returned as data, not asserted."""
-    t0 = perf_counter()
+    """sigma_{W,V} o sigma_{V,W} acts as a scalar on each summand of the
+    based tensor product, highest first (uqmod.summand_order_key); the
+    scalars are returned as data, not asserted."""
     sq = braiding(br, bl).matrix @ braiding(bl, br).matrix
-    big = tensor(bl.module, br.module)
-    dec = isotypic_decomposition(big)
+    bt = based_tensor(bl, br)
+    key = summand_order_key(bt.cartan)
     ces: List[dict] = []
     scalars: List[dict] = []
-    for k, comp in enumerate(dec.components):
+    for k, comp in enumerate(sorted(bt.components,
+                                    key=lambda c: key(c.nu))):
         head = comp.hw_vec
         image = v_clean(sq.apply(head))
         t = next(iter(head))
@@ -822,12 +800,12 @@ def check_double_braiding(bl: BasedModule, br: BasedModule
                         "lhs": _vec_json(image), "rhs": "scalar multiple"})
             continue
         scalar = image[t] / head[t]
-        for vec in comp.basis:
-            if not v_eq(v_clean(sq.apply(vec)), v_scale(vec, scalar)):
+        for vec in comp.embed.transpose().rows.values():
+            got, want = v_clean(sq.apply(vec)), v_scale(vec, scalar)
+            if not v_eq(got, want):
                 ces.append({"check": f"double braiding block {k}",
-                            "lhs": _vec_json(v_clean(sq.apply(vec))),
-                            "rhs": _vec_json(v_scale(vec, scalar))})
+                            "lhs": _vec_json(got), "rhs": _vec_json(want)})
                 break
         scalars.append({"component": list(comp.nu), "index": k,
                         "scalar": scalar.to_json_obj()})
-    return _report("double-braiding", t0, ces), scalars
+    return CheckReport("double-braiding", ces), scalars

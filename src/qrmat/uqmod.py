@@ -78,8 +78,8 @@ class Module:
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
         # objects derived from this module live on it: K_i powers, divided
-        # powers, the isotypic decomposition (for the checks that read
-        # whole summands), the per-weight splits that tensor pins are
+        # powers, the isotypic decomposition (for the scale-block fault
+        # injector), the per-weight splits that tensor pins are
         # projected with, string and crystal data (bases), braid operators
         # (sysmorph), and V (x) W keyed by the right factor W
         self._k_cache: Dict[Tuple[int, int], SparseMatrix] = {}
@@ -101,14 +101,6 @@ class Module:
     def weight_plus_alpha(self, wt: WeightT, i: int, sign: int = 1) -> WeightT:
         a = self.cartan.A
         return tuple(wt[k] + sign * a[k][i] for k in range(self.cartan.n))
-
-    def k_diag(self, pairings: Sequence) -> SparseMatrix:
-        """K_H as a diagonal matrix, H given by its pairings with the omega_i."""
-        rows = {}
-        for idx, wt in enumerate(self.weights):
-            e = sum(Fraction(pairings[j]) * wt[j] for j in range(self.cartan.n))
-            rows[idx] = {idx: FieldElement.q_power(e)}
-        return SparseMatrix(self.dim, self.dim, rows)
 
     def k_i(self, i: int, power: int = 1) -> SparseMatrix:
         """K_i^power = K_{d_i H_i}^power, diagonal q^(power d_i <H_i, wt>);
@@ -309,9 +301,26 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int]) -> Module:
 # ---------------------------------------------------------------------------
 
 def verify_module(m: Module) -> None:
-    """Exact matrix checks of the defining relations; raises on any failure."""
+    """Exact checks of the defining relations; raises on any failure.
+
+    K_H acts diagonally by q^(<H, wt>) on the stored weights, and the
+    Drinfeld-Jimbo presentation asks for five relations:
+      1. grading: E_i raises weights by alpha_i and F_i lowers them;
+      2. conjugation: K_H E_i K_H^-1 = q^(<H, alpha_i>) E_i, and F_i with
+         the sign reversed;
+      3. [E_i, F_j] = delta_ij (K_i - K_i^-1)/(q_i - q_i^-1);
+      4. the quantum Serre relations in E and in F;
+      5. E_i and F_i act nilpotently.
+    The grading check decides 1 and, through it, 2 and 5 (see below); 3
+    and 4 are matrix identities compared entrywise.
+    """
     cd = m.cartan
     n = cd.n
+    # every nonzero E_i[r,c] has wt_r - wt_c = alpha_i, so
+    # (K_{H_j} E_i K_{H_j}^-1)[r,c] = q^(A[j][i]) E_i[r,c] exactly (F_i
+    # likewise with -alpha_i); and E_i^k[r,c] != 0 needs k + 1 weights of
+    # the finite list in one alpha_i-string, so E_i and F_i vanish at the
+    # length of the longest one
     for i in range(n):
         _check_weight_grading(m, m.E[i], i, +1)
         _check_weight_grading(m, m.F[i], i, -1)
@@ -327,16 +336,6 @@ def verify_module(m: Module) -> None:
                 rhs = SparseMatrix.zeros(m.dim, m.dim)
             if lhs != rhs:
                 raise InternalConsistencyError(f"[E_{i}, F_{j}] relation failed")
-    # K_H E_i K_H^-1 = q^(<H, alpha_i>) E_i for H = H_j
-    for j in range(n):
-        h = [1 if k == j else 0 for k in range(n)]
-        kh = m.k_diag(h)
-        kh_inv = m.k_diag([-x for x in h])
-        for i in range(n):
-            want_e = m.E[i].scale(FieldElement.q_power(cd.A[j][i]))
-            want_f = m.F[i].scale(FieldElement.q_power(-cd.A[j][i]))
-            if (kh @ m.E[i]) @ kh_inv != want_e or (kh @ m.F[i]) @ kh_inv != want_f:
-                raise InternalConsistencyError("K_H conjugation relation failed")
     # quantum Serre relations
     for i in range(n):
         for j in range(n):
@@ -353,17 +352,6 @@ def verify_module(m: Module) -> None:
                 if not acc.is_zero():
                     raise InternalConsistencyError(
                         f"quantum Serre relation failed for {gen}, ({i},{j})")
-    # local nilpotency
-    for i in range(n):
-        for mat in (m.E[i], m.F[i]):
-            for b in range(m.dim):
-                v: Vec = {b: ONE}
-                for _ in range(m.dim + 1):
-                    if v_is_zero(v):
-                        break
-                    v = mat.apply(v)
-                else:
-                    raise InternalConsistencyError("generator action is not nilpotent")
 
 
 def _check_weight_grading(m: Module, mat: SparseMatrix, i: int, sign: int) -> None:
@@ -556,26 +544,24 @@ class IsotypicDecomposition:
         return v_clean(self.change.apply(kept))
 
 
-def _component_order_key(cd: CartanDatum, lam_top: WeightT):
+def summand_order_key(cd: CartanDatum):
+    """Sort key of highest weights nu, highest first: by descending height
+    (the sum of the root coefficients of nu), then by coordinates."""
     def key(nu: WeightT):
-        drop = [Fraction(a - b) for a, b in zip(lam_top, nu)]
-        coeffs = cd.root_coefficients(drop)
-        return (sum(coeffs), nu)
+        return (-sum(cd.root_coefficients(nu)), nu)
     return key
 
 
 def isotypic_decomposition(m: Module) -> IsotypicDecomposition:
     """Split a completely reducible module into highest-weight components.
 
-    Components are ordered by descending dominance of nu (height of the drop
-    from the top weight, then coordinate order), highest first.
+    Components are ordered by summand_order_key, highest first.
     """
     if m._decomposition is not None:
         return m._decomposition
-    dominant = [wt for wt in m.weight_multiplicities() if m.cartan.is_dominant(wt)]
-    top = max(dominant, key=lambda wt: sum(
-        m.cartan.root_coefficients([Fraction(x) for x in wt])))
-    dominant.sort(key=_component_order_key(m.cartan, top))
+    dominant = sorted((wt for wt in m.weight_multiplicities()
+                       if m.cartan.is_dominant(wt)),
+                      key=summand_order_key(m.cartan))
     comps: List[IsotypicComponent] = []
     for nu in dominant:
         for hw in highest_weight_vectors(m, nu):

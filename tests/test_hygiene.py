@@ -4,9 +4,11 @@ Every public function and method of qrmat has a caller in the package or
 in the benchmark (a name the benchmark tracer wraps by string counts), or
 is a test oracle listed below with its reason; every defaulted parameter
 of a public function, method or constructor is passed by some call there,
-or is listed below with its reason; and no module keys anything by object
-identity.  A method is called only when it is reached as an attribute; a
-function also when its bare name is read.
+or is listed below with its reason; every attribute a package class stores
+on self is read as an attribute somewhere in the package, or is listed
+below with its reason; and no module keys anything by object identity.  A
+method is called only when it is reached as an attribute; a function also
+when its bare name is read.
 """
 
 import ast
@@ -40,6 +42,12 @@ OPTIONS = {
     "check_method_agreement.rescale": "known debt: the acceptance tests "
                                       "turn the rescaled-pin comparison off",
     "q_binom.d": "public scalar API; mirrors the d of q_int and q_factorial",
+}
+
+# attributes a package class stores on self that the package never reads
+STORED = {
+    "Commutor.flipped": "tests read it",
+    "GlobalBasis.monomial_words": "tests read it",
 }
 
 
@@ -192,3 +200,43 @@ def test_package_never_calls_id():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert calls == []
+
+
+def _unread_attributes():
+    """"<class>.<attribute>" of each attribute that a package class assigns
+    on self and that no attribute read in the package names; an augmented
+    assignment reads its target."""
+    stored, read = set(), set()
+    for _, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.AugAssign) \
+                    and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in ast.walk(node):
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [stmt.target]
+                else:
+                    continue
+                stored.update(
+                    (node.name, t.attr) for target in targets
+                    for t in ast.walk(target)
+                    if isinstance(t, ast.Attribute)
+                    and isinstance(t.value, ast.Name) and t.value.id == "self")
+    return sorted(f"{cls}.{attr}" for cls, attr in stored
+                  if attr not in read)
+
+
+def test_every_stored_attribute_is_read_or_listed():
+    assert [a for a in _unread_attributes() if a not in STORED] == []
+
+
+def test_stored_list_names_only_unread_attributes():
+    # a listed attribute that gains a reader in the package leaves the list
+    assert set(STORED) <= set(_unread_attributes())

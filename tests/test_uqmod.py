@@ -111,6 +111,21 @@ def test_construction_is_self_verifying():
         verify_module(bad)
 
 
+@pytest.mark.parametrize("gen, i", [("E", 0), ("F", 1)])
+def test_off_weight_entry_breaks_the_grading(gen, i):
+    # a diagonal entry on the highest weight line commutes with every K_H
+    # and makes the generator fix a vector, so it breaks K-conjugation and
+    # nilpotency; the grading check, which decides both, must reject it
+    m = make_irreducible(A2, (1, 1))
+    acts = {"E": dict(m.E), "F": dict(m.F)}
+    acts[gen][i] = acts[gen][i].add(SparseMatrix(m.dim, m.dim, {0: {0: ONE}}))
+    bad = Module(m.cartan, m.weights, acts["E"], acts["F"],
+                 provenance="tampered")
+    with pytest.raises(InternalConsistencyError,
+                       match="weight grading violated"):
+        verify_module(bad)
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ModuleConstructionError):
         make_irreducible(A1, (-1,))
@@ -195,7 +210,7 @@ def test_coproduct_entries_by_hand():
     got_f = t.F[0].apply({0: ONE})
     assert got_f == {2 * lo + hi: ONE, 2 * hi + lo: Q.inv()}
     # K_H acts by weight addition
-    kh = t.k_diag((1,))
+    kh = t.k_i(0)
     assert kh.entry(0, 0) == Q * Q and kh.entry(3, 3) == (Q * Q).inv()
 
 
