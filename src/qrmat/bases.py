@@ -17,14 +17,14 @@ plus the residue-edge conditions before a GlobalBasis is returned.
 
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cartan import CartanDatum
 from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
                      v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
-                    kron_vec, tensor, weight_split)
+                    kron_vec, make_irreducible, tensor, weight_split)
 
 ResidueT = Tuple[Fraction, ...]
 WeightT = Tuple[int, ...]
@@ -103,9 +103,6 @@ class Frame:
                     "lattice frame vectors are linearly dependent") from None
         sol = self._inv.apply(self._local(v))
         return [sol.get(t, ZERO) for t in range(len(self.basis))]
-
-    def coords_many(self, vs: Sequence[Vec]) -> List[List[FieldElement]]:
-        return [self.coords(v) for v in vs]
 
     def in_lattice(self, coords: Sequence[FieldElement]) -> bool:
         return all(x.regular_at_infinity()[0] for x in coords)
@@ -557,7 +554,7 @@ def _triangular_solve(frame: Frame, gens: List[Vec], want: ResidueT,
     the generators do not span the integral slice, no window solves and this
     raises "no bar-symmetric integral lift"; it never returns a wrong basis.
     """
-    gcoords = frame.coords_many(gens)
+    gcoords = [frame.coords(v) for v in gens]
 
     spread = 0  # integer part of the largest exponent size
     for row in gcoords:
@@ -765,19 +762,19 @@ def verify_global_basis(gb: GlobalBasis) -> None:
 # Tensor crystals
 # ---------------------------------------------------------------------------
 
-_ORIENTATIONS = ("left-dominant", "right-dominant")
-# Keyed by the Cartan matrix, not by datum: the orientation depends on A
-# alone, and one calibration then serves every datum of that type built
-# later in the process, such as a fresh datum per request.
-_orientation_cache: Dict[tuple, str] = {}
+# Cartan matrices whose signature rule certify_signature_rule has checked.
+# Keyed by the Cartan matrix, not by datum: the rule depends on A alone,
+# and one certification then serves every datum of that type built later
+# in the process, such as a fresh datum per request.
+_signature_certified: Set[tuple] = set()
 
 
-def _pair_edges(bv: CrystalGraph, bw: CrystalGraph, orientation: str):
-    """Signature-rule f and e edges on pairs, as index maps."""
+def _pair_edges(bv: CrystalGraph, bw: CrystalGraph):
+    """Signature-rule f and e edges on pairs, as index maps: f acts on the
+    left factor when phi(a) > eps(b), e when phi(a) >= eps(b)."""
     n = bv.cartan.n
     f_map: Dict[Tuple[int, int], Optional[int]] = {}
     e_map: Dict[Tuple[int, int], Optional[int]] = {}
-    flip = orientation == "right-dominant"
 
     def enc(a: int, b: int) -> int:
         return a * bw.size + b
@@ -786,19 +783,13 @@ def _pair_edges(bv: CrystalGraph, bw: CrystalGraph, orientation: str):
         for b in range(bw.size):
             for i in range(n):
                 pa, eb = bv.phi(a, i), bw.eps(b, i)
-                if flip:
-                    act_left_f = bw.phi(b, i) <= bv.eps(a, i)
-                    act_left_e = bw.phi(b, i) < bv.eps(a, i)
-                else:
-                    act_left_f = pa > eb
-                    act_left_e = pa >= eb
-                if act_left_f:
+                if pa > eb:
                     fa = bv.f(a, i)
                     f_map[(enc(a, b), i)] = None if fa is None else enc(fa, b)
                 else:
                     fb = bw.f(b, i)
                     f_map[(enc(a, b), i)] = None if fb is None else enc(a, fb)
-                if act_left_e:
+                if pa >= eb:
                     ea = bv.e(a, i)
                     e_map[(enc(a, b), i)] = None if ea is None else enc(ea, b)
                 else:
@@ -821,7 +812,6 @@ def _algebraic_pair_edges(bv: CrystalGraph, bw: CrystalGraph):
         wt = tuple(x + y for x, y in zip(bv.weights[a], bw.weights[b]))
         by_wt.setdefault(wt, []).append((a, b))
     frames: Dict[WeightT, Frame] = {}
-    res_of: Dict[Tuple[int, int], ResidueT] = {}
     pair_at: Dict[Tuple[WeightT, ResidueT], Tuple[int, int]] = {}
     for wt, pairs in by_wt.items():
         fr = Frame(tm.weight_space(wt),
@@ -834,7 +824,6 @@ def _algebraic_pair_edges(bv: CrystalGraph, bw: CrystalGraph):
                     f"pure tensors {pair_at[(wt, r)]} and {p} have equal "
                     f"residues")
             pair_at[(wt, r)] = p
-            res_of[p] = r
 
     def classify(vec: Vec, wt: WeightT, what: str):
         if v_is_zero(vec):
@@ -867,47 +856,43 @@ def _algebraic_pair_edges(bv: CrystalGraph, bw: CrystalGraph):
     return f_map, e_map
 
 
-def signature_orientation(cd: CartanDatum) -> str:
-    """Which tensor factor the signature rule favors, for this Cartan datum.
+def _check_signature_rule(bv: CrystalGraph, bw: CrystalGraph,
+                          f_map, e_map) -> None:
+    """Raise unless the pair edges f_map and e_map (as _pair_edges gives
+    them) equal the residues of the algebraic Kashiwara operators on the
+    tensor module at every pair and node."""
+    alg_f, alg_e = _algebraic_pair_edges(bv, bw)
+    for side, edges, alg in (("f", f_map, alg_f), ("e", e_map, alg_e)):
+        for ((a, b), i), want in alg.items():
+            got = edges[(a * bw.size + b, i)]
+            if (None if got is None else divmod(got, bw.size)) != want:
+                raise InternalConsistencyError(
+                    f"signature rule disagrees with algebraic residues "
+                    f"at pair {(a, b)}, node {i + 1} ({side} side)")
 
-    Calibrated once per Cartan matrix by comparing both candidate rules
-    against the algebraic Kashiwara residues on V_{omega_1} tensor
-    V_{omega_1}.
-    """
-    if cd.A in _orientation_cache:
-        return _orientation_cache[cd.A]
-    from .uqmod import make_irreducible
-    probe = make_irreducible(cd, tuple(1 if k == 0 else 0
-                                       for k in range(cd.n)))
-    bp = crystal_graph(probe)
-    alg_f, alg_e = _algebraic_pair_edges(bp, bp)
-    matches = []
-    for orientation in _ORIENTATIONS:
-        f_map, e_map = _pair_edges(bp, bp, orientation)
 
-        def dec(p):
-            return None if p is None else (p // bp.size, p % bp.size)
-
-        ok = all(dec(f_map[(a * bp.size + b, i)]) == alg_f[((a, b), i)]
-                 and dec(e_map[(a * bp.size + b, i)]) == alg_e[((a, b), i)]
-                 for a in range(bp.size) for b in range(bp.size)
-                 for i in range(cd.n))
-        if ok:
-            matches.append(orientation)
-    if len(matches) != 1:
-        raise InternalConsistencyError(
-            f"signature rule calibration found {len(matches)} matching "
-            f"orientations")
-    _orientation_cache[cd.A] = matches[0]
-    return matches[0]
+def certify_signature_rule(cd: CartanDatum) -> None:
+    """Check the signature rule once per Cartan matrix, against the
+    algebraic Kashiwara residues on V_{omega_1} tensor V_{omega_1}."""
+    if cd.A in _signature_certified:
+        return
+    bp = crystal_graph(make_irreducible(cd, tuple(1 if k == 0 else 0
+                                                  for k in range(cd.n))))
+    _check_signature_rule(bp, bp, *_pair_edges(bp, bp))
+    _signature_certified.add(cd.A)
 
 
 def tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> CrystalGraph:
-    """Combinatorial crystal of a tensor product, via the signature rule."""
+    """Combinatorial crystal of a tensor product, via the signature rule
+    (certified for the Cartan matrix by certify_signature_rule first).
+
+    Pair (a, b) is vertex a * bw.size + b.  Every highest vertex has a
+    highest left factor, or this raises.
+    """
     if bv.cartan.A != bw.cartan.A:
         raise ModuleConstructionError("tensor crystal wants one Cartan datum")
-    orientation = signature_orientation(bv.cartan)
-    f_map, _ = _pair_edges(bv, bw, orientation)
+    certify_signature_rule(bv.cartan)
+    f_map, _ = _pair_edges(bv, bw)
     weights = []
     labels = []
     for a in range(bv.size):
@@ -930,26 +915,7 @@ def cross_validate_tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> Crystal
     """Signature-rule crystal, rechecked edge by edge against the algebraic
     Kashiwara residues on the tensor module."""
     graph = tensor_crystal(bv, bw)
-    alg_f, alg_e = _algebraic_pair_edges(bv, bw)
-    _, e_map = _pair_edges(bv, bw, signature_orientation(bv.cartan))
-    for a in range(bv.size):
-        for b in range(bw.size):
-            v = a * bw.size + b
-            for i in range(bv.cartan.n):
-                got = graph.f(v, i)
-                want = alg_f[((a, b), i)]
-                if (got is None) != (want is None) or (
-                        got is not None and graph.labels[got] != want):
-                    raise InternalConsistencyError(
-                        f"signature rule disagrees with algebraic residues "
-                        f"at pair {(a, b)}, node {i + 1} (f side)")
-                got_e = e_map[(v, i)]
-                want_e = alg_e[((a, b), i)]
-                if (got_e is None) != (want_e is None) or (
-                        got_e is not None and graph.labels[got_e] != want_e):
-                    raise InternalConsistencyError(
-                        f"signature rule disagrees with algebraic residues "
-                        f"at pair {(a, b)}, node {i + 1} (e side)")
+    _check_signature_rule(bv, bw, *_pair_edges(bv, bw))
     return graph
 
 
@@ -967,9 +933,8 @@ def highest_weight_set(vlam: Module, bmu: GlobalBasis, nu: Sequence[int]
     pair = tensor_crystal(bl, bmu.crystal)
     out = []
     for h in pair.highest():
-        a, b = pair.labels[h]
-        if a == 0 and pair.weight(h) == nu:
-            out.append(b)
+        if pair.weight(h) == nu:
+            out.append(pair.labels[h][1])
     out.sort()
 
     split = weight_split(tensor(vlam, bmu.module), nu)

@@ -113,8 +113,11 @@ class CartanDatum:
         self.d = self._symmetrizers()
         self.finite = self._is_finite()
         gram_rows = None
+        # A^{-1}, for the Gram matrix and root_coefficients (finite type)
+        self._ainv: Optional[List[List[Fraction]]] = None
         if self.finite:
-            ainv = _frac_matrix_inverse([[Fraction(x) for x in row] for row in a])
+            ainv = self._ainv = _frac_matrix_inverse(
+                [[Fraction(x) for x in row] for row in a])
             # (omega_i, omega_j) = d_j * (A^{-1})_{ji}
             gram_rows = tuple(tuple(self.d[j] * ainv[j][i] for j in range(n))
                               for i in range(n))
@@ -289,9 +292,7 @@ class CartanDatum:
 
     def root_coefficients(self, wt: Sequence) -> WeightT:
         """Coefficients c with wt = sum_j c_j alpha_j (solves A c = wt)."""
-        if not hasattr(self, "_ainv"):
-            self._ainv = _frac_matrix_inverse(
-                [[Fraction(x) for x in row] for row in self.A])
+        self._require_finite()
         return tuple(sum(self._ainv[i][j] * Fraction(wt[j]) for j in range(self.n))
                      for i in range(self.n))
 

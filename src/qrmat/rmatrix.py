@@ -170,12 +170,10 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
         for rcomp in br.components:
             rcry = crystal_graph(rcomp.ref)
             pair = tensor_crystal(lcry, rcry)
+            # tensor_crystal certifies a highest left factor, and vertex 0
+            # is the one highest vertex of the irreducible left crystal
             for enc in pair.highest():
-                a, b = divmod(enc, rcry.size)
-                if a != 0:
-                    raise InternalConsistencyError(
-                        "pair crystal has a highest weight vertex whose "
-                        "left factor is not highest")
+                b = enc % rcry.size
                 nu = tuple(int(x) for x in pair.weight(enc))
                 x = kron_vec(lcomp.hw_vec, rcomp.basis_element(b),
                              br.module.dim)

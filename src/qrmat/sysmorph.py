@@ -16,17 +16,17 @@ coefficient-wise bar first, then the matrix"; composing two bar-linear maps
 therefore yields a q-linear map with matrix M1 bar(M2).
 
 Braid operators act on each i-string [u, F^(1)u, .., F^(m)u] by reversing it
-with signed q_i-power coefficients.  Four sign/power variants are exposed;
-the one compatible with C_{T_w0} is found by calibration on a probe module
-and cached per Cartan matrix.
+with signed q_i-power coefficients: one of Lusztig's four families, the one
+whose w0-product is compatible with C_{T_w0}.  That compatibility is
+certified on a probe module once per Cartan matrix before T_w0 is built.
 """
 
 from fractions import Fraction
 from itertools import islice
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+from typing import (Any, Callable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
-from .bases import operator_from_strings
+from .bases import compute_global_basis, operator_from_strings
 from .cartan import CartanDatum
 from .linalg import (Echelon, SparseMatrix, Vec, inverse, v_bar, v_clean,
                      v_eq, v_is_zero, v_scale)
@@ -370,49 +370,36 @@ def k_2rho(m: Module) -> TransportedMap:
 # Braid operators
 # ---------------------------------------------------------------------------
 
-BRAID_VARIANTS = ("A+1", "A-1", "B+1", "B-1")
-# Keyed by the Cartan matrix, not by datum: the variant depends on A alone
-# (d is a function of A), and one calibration then serves every datum of
+# Cartan matrices whose braid action calibrate_braid_variant has certified.
+# Keyed by the Cartan matrix, not by datum: the action depends on A alone
+# (d is a function of A), and one certification then serves every datum of
 # that type built later in the process, such as a fresh datum per request.
-_braid_variant_cache: Dict[tuple, str] = {}
+_braid_certified: Set[tuple] = set()
 
 
-def _braid_coefficient(variant: str, d: int, mstr: int, n: int
-                       ) -> FieldElement:
-    e = 1 if variant.endswith("+1") else -1
-    if variant[0] == "A":
-        sign = -1 if (mstr - n) % 2 else 1
-        return FieldElement.q_power(Fraction(e * d * (mstr - n) * (n + 1)),
-                                    sign)
-    sign = -1 if n % 2 else 1
-    return FieldElement.q_power(Fraction(e * d * n * (mstr - n + 1)), sign)
+def _braid_coefficient(d: int, mstr: int, n: int) -> FieldElement:
+    sign = -1 if (mstr - n) % 2 else 1
+    return FieldElement.q_power(Fraction(d * (mstr - n) * (n + 1)), sign)
 
 
-def braid_operator(m: Module, i: int, variant: Optional[str] = None
-                   ) -> SparseMatrix:
+def braid_operator(m: Module, i: int) -> SparseMatrix:
     """T_i: reverses every i-string with signed q_i-power coefficients.
 
     On a string [u_0, .., u_mstr] of divided powers, u_n maps to
-    c_n u_(mstr-n); the four variants differ in the sign pattern and the
-    sign of the exponent.  With no variant given, the one calibrated
-    against C_{T_w0} for this Cartan datum is used.
+    (-1)^(mstr-n) q_i^((mstr-n)(n+1)) u_(mstr-n), the family whose
+    w0-product is compatible with C_{T_w0}; calibrate_braid_variant
+    certifies it once per Cartan matrix, and make_Tw0 runs that first.
     """
-    if variant is None:
-        variant = calibrate_braid_variant(m.cartan)
-    if variant not in BRAID_VARIANTS:
-        raise ValueError(f"unknown braid variant {variant!r}")
-    key = (i, variant)
-    if key in m._braid_cache:
-        return m._braid_cache[key]
+    if i in m._braid_cache:
+        return m._braid_cache[i]
     d = m.cartan.d[i]
 
     def image(chain, n):
         mstr = len(chain) - 1
-        return v_scale(chain[mstr - n],
-                       _braid_coefficient(variant, d, mstr, n))
+        return v_scale(chain[mstr - n], _braid_coefficient(d, mstr, n))
 
     out = operator_from_strings(m, i, image)
-    m._braid_cache[key] = out
+    m._braid_cache[i] = out
     return out
 
 
@@ -420,11 +407,11 @@ def _braid_order(cd: CartanDatum, i: int, j: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[cd.A[i][j] * cd.A[j][i]]
 
 
-def braid_relations_hold(m: Module, variant: str) -> bool:
+def braid_relations_hold(m: Module) -> bool:
     for i in range(m.cartan.n):
         for j in range(i + 1, m.cartan.n):
             k = _braid_order(m.cartan, i, j)
-            ti, tj = braid_operator(m, i, variant), braid_operator(m, j, variant)
+            ti, tj = braid_operator(m, i), braid_operator(m, j)
             lhs = SparseMatrix.identity(m.dim)
             rhs = SparseMatrix.identity(m.dim)
             for t in range(k):
@@ -435,61 +422,55 @@ def braid_relations_hold(m: Module, variant: str) -> bool:
     return True
 
 
-def _braid_product(m: Module, variant: str) -> SparseMatrix:
+def _braid_product(m: Module) -> TransportedMap:
+    """The w0-product of the T_i, verified against C_{T_w0}."""
     out = SparseMatrix.identity(m.dim)
     for i in m.cartan.w0_word:
-        out = out @ braid_operator(m, i, variant)
-    return out
-
-
-def calibrate_braid_variant(cd: CartanDatum) -> str:
-    """The variant whose w0-product is compatible with C_{T_w0}.
-
-    Probed on V_{omega_1}; the product must satisfy the full compatibility
-    square and send the lowest global basis element to the highest one on
-    the nose.  Exactly one variant qualifies; the winner is cached per
-    Cartan matrix.
-    """
-    if cd.A in _braid_variant_cache:
-        return _braid_variant_cache[cd.A]
-    from .bases import compute_global_basis
-    probe = make_irreducible(cd, tuple(1 if k == 0 else 0
-                                       for k in range(cd.n)))
-    gb = compute_global_basis(probe)
-    spec = tw0_spec()
-    winners = []
-    for variant in BRAID_VARIANTS:
-        if not braid_relations_hold(probe, variant):
-            continue
-        tmap = TransportedMap(probe, _braid_product(probe, variant), False,
-                              f"braid-{variant}")
-        if next(verify_compatibility(tmap, spec), None) is not None:
-            continue
-        if not v_eq(tmap.apply(gb.elements[gb.low_vertex]), gb.hw_vec):
-            continue
-        winners.append(variant)
-    if len(winners) != 1:
-        raise InternalConsistencyError(
-            f"braid calibration found {len(winners)} usable variants "
-            f"{winners}; expected exactly one")
-    _braid_variant_cache[cd.A] = winners[0]
-    return winners[0]
-
-
-def make_Tw0(m: Module) -> TransportedMap:
-    """T_w0: q-linear, sends the lowest global basis element to the highest.
-
-    Composes the calibrated T_i along the reduced word of w0 (intrinsic:
-    works on any integrable module, tensor products included; calibration
-    checks the lowest-to-highest property on a probe module) and verifies
-    the product against C_{T_w0}.  transport(m, tw0_spec(), lows, highs)
-    builds the same map from explicit pins.
-    """
-    mat = _braid_product(m, calibrate_braid_variant(m.cartan))
-    tmap = TransportedMap(m, mat, False, "tw0-braid")
+        out = out @ braid_operator(m, i)
+    tmap = TransportedMap(m, out, False, "tw0-braid")
     failures = list(islice(verify_compatibility(tmap, tw0_spec()), 3))
     if failures:
         raise InternalConsistencyError(
             "braid-product T_w0 violates compatibility: "
             + "; ".join(failures))
     return tmap
+
+
+def calibrate_braid_variant(cd: CartanDatum) -> None:
+    """Certify the braid action against C_{T_w0}, once per Cartan matrix.
+
+    Probed on V_{omega_1}: the T_i must satisfy the braid relations, their
+    w0-product the full compatibility square, and the product must send
+    the lowest global basis element to the highest one on the nose.
+    Raises InternalConsistencyError otherwise.  The square alone does not
+    single the action out: on A1, A2, A3 and C3 the family with the other
+    sign pattern and exponent sign passes it too, and only the
+    lowest-to-highest normalization tells them apart.
+    """
+    if cd.A in _braid_certified:
+        return
+    probe = make_irreducible(cd, tuple(1 if k == 0 else 0
+                                       for k in range(cd.n)))
+    if not braid_relations_hold(probe):
+        raise InternalConsistencyError(
+            "braid operators violate the braid relations on V_{omega_1}")
+    gb = compute_global_basis(probe)
+    if not v_eq(_braid_product(probe).apply(gb.elements[gb.low_vertex]),
+                gb.hw_vec):
+        raise InternalConsistencyError(
+            "braid-product T_w0 does not send the lowest global basis "
+            "element of V_{omega_1} to the highest")
+    _braid_certified.add(cd.A)
+
+
+def make_Tw0(m: Module) -> TransportedMap:
+    """T_w0: q-linear, sends the lowest global basis element to the highest.
+
+    Composes the T_i along the reduced word of w0 (intrinsic: works on any
+    integrable module, tensor products included; the certification checks
+    the lowest-to-highest property on a probe module) and verifies the
+    product against C_{T_w0}.  transport(m, tw0_spec(), lows, highs)
+    builds the same map from explicit pins.
+    """
+    calibrate_braid_variant(m.cartan)
+    return _braid_product(m)

@@ -87,7 +87,7 @@ class Module:
         self._decomposition: Optional[IsotypicDecomposition] = None
         self._splits: Dict[WeightT, WeightSplit] = {}
         self._bases_cache: dict = {}
-        self._braid_cache: Dict[Tuple[int, str], SparseMatrix] = {}
+        self._braid_cache: Dict[int, SparseMatrix] = {}
         self._tensors: Dict[Module, Module] = {}
 
     # -- structure ------------------------------------------------------------

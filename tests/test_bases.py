@@ -11,13 +11,13 @@ import qrmat.bases as bases
 from qrmat.bases import (Frame, GlobalBasis,
                          compute_global_basis, cross_validate_tensor_crystal,
                          crystal_graph, highest_weight_set,
-                         kashiwara_operators, signature_orientation,
+                         certify_signature_rule, kashiwara_operators,
                          tensor_crystal)
 from qrmat.cartan import make_cartan
 from qrmat.cli import _canon
 from qrmat.linalg import inverse, v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement, Q, QLaurent
-from qrmat.sysmorph import BRAID_VARIANTS, braid_operator
+from qrmat.sysmorph import braid_operator
 from qrmat.uqmod import (InternalConsistencyError,
                          ModuleConstructionError, make_irreducible,
                          tensor)
@@ -180,7 +180,8 @@ def test_frame_inverts_its_matrix_once(monkeypatch):
     v2 = {1: ONE}
     fr = Frame([0, 1], [v1, v2])
     assert fr.coords(v1) == [ONE, 0]
-    assert fr.coords_many([v2, {0: ONE}]) == [[0, ONE], [ONE, -Q]]
+    assert fr.coords(v2) == [0, ONE]
+    assert fr.coords({0: ONE}) == [ONE, -Q]
     assert fr.coords({1: Q}) == [0, Q]
     assert len(calls) == 1
 
@@ -296,11 +297,61 @@ def test_global_basis_detects_tampered_element():
 # -- tensor crystals ---------------------------------------------------------
 
 
-def test_signature_orientation_is_calibrated_and_cached():
-    o1 = signature_orientation(A1)
-    assert o1 in ("left-dominant", "right-dominant")
-    assert signature_orientation(A1) == o1
-    assert signature_orientation(A2) == o1  # same convention everywhere
+def test_signature_rule_is_certified_once_per_cartan_matrix(monkeypatch):
+    monkeypatch.setattr(bases, "_signature_certified", set())
+    calls = []
+    real = bases._algebraic_pair_edges
+
+    def counting(bv, bw):
+        calls.append(bv.cartan.A)
+        return real(bv, bw)
+
+    monkeypatch.setattr(bases, "_algebraic_pair_edges", counting)
+    b = crystal_graph(make_irreducible(A1, (1,)))
+    tensor_crystal(b, b)
+    tensor_crystal(b, b)
+    certify_signature_rule(make_cartan("A1"))  # a fresh datum, same matrix
+    assert calls == [A1.A]
+    certify_signature_rule(A2)
+    assert calls == [A1.A, A2.A]
+
+
+def _mirrored_pair_edges(bv, bw):
+    """The signature rule with the factors' roles swapped: f acts on the
+    left factor when phi(b) <= eps(a), e when phi(b) < eps(a)."""
+    f_map, e_map = {}, {}
+    for a in range(bv.size):
+        for b in range(bw.size):
+            v = a * bw.size + b
+            for i in range(bv.cartan.n):
+                pb, ea = bw.phi(b, i), bv.eps(a, i)
+                for edges, left, right, acts_left in (
+                        (f_map, bv.f(a, i), bw.f(b, i), pb <= ea),
+                        (e_map, bv.e(a, i), bw.e(b, i), pb < ea)):
+                    if acts_left:
+                        w = None if left is None else left * bw.size + b
+                    else:
+                        w = None if right is None else a * bw.size + right
+                    edges[(v, i)] = w
+    return f_map, e_map
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_mirrored_signature_rule_fails_the_residue_comparison(monkeypatch,
+                                                              label):
+    cd = make_cartan(label)
+    b = crystal_graph(make_irreducible(cd, tuple(int(k == 0)
+                                                 for k in range(cd.n))))
+    bases._check_signature_rule(b, b, *bases._pair_edges(b, b))
+    with pytest.raises(InternalConsistencyError,
+                       match="signature rule disagrees"):
+        bases._check_signature_rule(b, b, *_mirrored_pair_edges(b, b))
+    monkeypatch.setattr(bases, "_signature_certified", set())
+    monkeypatch.setattr(bases, "_pair_edges", _mirrored_pair_edges)
+    with pytest.raises(InternalConsistencyError,
+                       match="signature rule disagrees"):
+        certify_signature_rule(cd)
+    assert bases._signature_certified == set()
 
 
 def test_a1_tensor_crystal_highest_vertices():
@@ -399,8 +450,7 @@ def test_string_matrix_is_factored_once_per_module_and_node(monkeypatch):
     n_weights = len(m.weight_multiplicities())
     kashiwara_operators(m, 0)
     assert len(calls) == n_weights
-    for variant in BRAID_VARIANTS:
-        braid_operator(m, 0, variant)
+    braid_operator(m, 0)
     kashiwara_operators(m, 1)
     assert len(calls) == 2 * n_weights
 

@@ -6,7 +6,9 @@ is a test oracle listed below with its reason; every defaulted parameter
 of a public function, method or constructor is passed by some call there,
 or is listed below with its reason; every attribute a package class stores
 on self is read as an attribute somewhere in the package, or is listed
-below with its reason; and no module keys anything by object identity.  A
+below with its reason; every module-level name bound to an empty
+container is process-wide state and is listed below with its reason; and
+no module keys anything by object identity.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.
 """
@@ -48,6 +50,19 @@ OPTIONS = {
 STORED = {
     "Commutor.flipped": "tests read it",
     "GlobalBasis.monomial_words": "tests read it",
+}
+
+# module-level names bound to an empty container: state that lives as long
+# as the process
+PROCESS_STATE = {
+    "sysmorph._braid_certified": "Cartan matrices whose braid action is "
+                                 "certified; one entry per matrix",
+    "bases._signature_certified": "Cartan matrices whose signature rule is "
+                                  "certified; one entry per matrix",
+    "cli._cartans": "one Cartan datum per type label; it owns the modules "
+                    "built on it",
+    "cli._based_cache": "the command line's based irreducibles by type "
+                        "label and highest weight",
 }
 
 
@@ -240,3 +255,41 @@ def test_every_stored_attribute_is_read_or_listed():
 def test_stored_list_names_only_unread_attributes():
     # a listed attribute that gains a reader in the package leaves the list
     assert set(STORED) <= set(_unread_attributes())
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+def _process_state():
+    """"<module>.<name>" of each module-level name in the package bound to
+    an empty {}, [], dict(), list() or set()."""
+    out = set()
+    for path, tree in _trees(PACKAGE):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_empty_container(node.value):
+                out.update(f"{module}.{t.id}" for t in targets
+                           if isinstance(t, ast.Name))
+    return out
+
+
+def test_process_wide_state_is_listed():
+    assert sorted(_process_state() - set(PROCESS_STATE)) == []
+
+
+def test_process_state_list_names_only_module_containers():
+    # a listed name that leaves module level leaves the list
+    assert set(PROCESS_STATE) <= _process_state()

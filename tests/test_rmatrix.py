@@ -484,8 +484,8 @@ def test_passing_checks_subtract_nothing(monkeypatch):
     # of a comparison that has already failed
     cd = make_cartan("A1")
     # building a module subtracts to form the [E, F] side of its relations,
-    # so V(2) and the summands of V(2) (x) V(2) are built first; the
-    # braid-variant calibration lists why it rejects a variant
+    # so V(2) and the summands of V(2) (x) V(2) are built first, and the
+    # braid certification builds its probe V(1)
     calibrate_braid_variant(cd)
     m, _, _ = (make_irreducible(cd, (k,)) for k in (2, 0, 4))
     bm = based_irreducible(m)

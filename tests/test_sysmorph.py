@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qrmat.sysmorph as sysmorph
 from qrmat.bases import compute_global_basis
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_scale
@@ -172,26 +173,78 @@ def test_gamma_composed_with_inverse_is_identity():
 # -- braid operators ----------------------------------------------------------
 
 
-def test_braid_variant_families_on_a1_fundamental():
-    m = module_of("A1", (1,))
-    t = braid_operator(m, 0, "A+1")
+def _braid_family(kind, e):
+    """Coefficient of u_(mstr-n) in T_i(u_n) for Lusztig's T'/T''_{i,e}:
+    kind "A" is the package's sign pattern, "B" the other one."""
+    def coefficient(d, mstr, n):
+        if kind == "A":
+            sign = -1 if (mstr - n) % 2 else 1
+            return FieldElement.q_power(
+                Fraction(e * d * (mstr - n) * (n + 1)), sign)
+        sign = -1 if n % 2 else 1
+        return FieldElement.q_power(Fraction(e * d * n * (mstr - n + 1)),
+                                    sign)
+    return coefficient
+
+
+# the braid families other than the one the package uses ("A+1")
+WRONG_BRAID_FAMILIES = {"A-1": _braid_family("A", -1),
+                        "B+1": _braid_family("B", 1),
+                        "B-1": _braid_family("B", -1)}
+
+
+def test_braid_variant_families_on_a1_fundamental(monkeypatch):
+    t = braid_operator(module_of("A1", (1,)), 0)
     assert t.column(0) == {1: qp(1, -1)}
     assert t.column(1) == {0: ONE}
-    t = braid_operator(m, 0, "B+1")
-    assert t.column(0) == {1: ONE}
-    assert t.column(1) == {0: qp(1, -1)}
-    t = braid_operator(m, 0, "A-1")
-    assert t.column(0) == {1: qp(-1, -1)}
+    for family, col0, col1 in (("B+1", {1: ONE}, {0: qp(1, -1)}),
+                               ("A-1", {1: qp(-1, -1)}, {0: ONE})):
+        monkeypatch.setattr(sysmorph, "_braid_coefficient",
+                            WRONG_BRAID_FAMILIES[family])
+        t = braid_operator(make_irreducible(make_cartan("A1"), (1,)), 0)
+        assert (t.column(0), t.column(1)) == (col0, col1)
 
 
-def test_braid_calibration_selects_one_variant():
-    for label in ("A1", "A2", "B2"):
-        assert calibrate_braid_variant(CARTANS[label]) == "A+1"
+def omega_1(cd):
+    return tuple(int(k == 0) for k in range(cd.n))
+
+
+ALL_TYPES = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+
+
+def test_braid_calibration_selects_one_variant(monkeypatch):
+    # the one braid family in code passes on every type the package builds
+    monkeypatch.setattr(sysmorph, "_braid_certified", set())
+    for label in ALL_TYPES:
+        assert calibrate_braid_variant(make_cartan(label)) is None
+    assert sysmorph._braid_certified == {make_cartan(label).A
+                                         for label in ALL_TYPES}
+
+
+def test_make_tw0_certifies_the_braid_action_first(monkeypatch):
+    monkeypatch.setattr(sysmorph, "_braid_certified", set())
+    make_Tw0(module_of("A2", (1, 1)))
+    assert sysmorph._braid_certified == {A2.A}
+
+
+@pytest.mark.parametrize("family", sorted(WRONG_BRAID_FAMILIES))
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_wrong_braid_family_fails_certification(monkeypatch, label, family):
+    # a fresh datum, so its probe module caches no braid operator yet
+    monkeypatch.setattr(sysmorph, "_braid_certified", set())
+    monkeypatch.setattr(sysmorph, "_braid_coefficient",
+                        WRONG_BRAID_FAMILIES[family])
+    cd = make_cartan(label)
+    with pytest.raises(InternalConsistencyError):
+        calibrate_braid_variant(cd)
+    assert sysmorph._braid_certified == set()
+    with pytest.raises(InternalConsistencyError):
+        make_Tw0(make_irreducible(cd, omega_1(cd)))
 
 
 def test_braid_relations_on_rank_two_types():
-    assert braid_relations_hold(module_of("A2", (1, 1)), "A+1")
-    assert braid_relations_hold(module_of("B2", (1, 0)), "A+1")
+    assert braid_relations_hold(module_of("A2", (1, 1)))
+    assert braid_relations_hold(module_of("B2", (1, 0)))
 
 
 def test_braid_operator_maps_weight_spaces_by_simple_reflection():
@@ -226,11 +279,6 @@ def test_tw0_braid_product_works_on_tensor_modules():
         target = tm.cartan.apply_w0(tm.weights[col])
         for r in tw0.matrix.column(col):
             assert tm.weights[r] == target
-
-
-def test_unknown_braid_variant_rejected():
-    with pytest.raises(ValueError):
-        braid_operator(module_of("A1", (1,)), 0, "C+1")
 
 
 # -- transport mechanics -------------------------------------------------------
