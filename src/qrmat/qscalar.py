@@ -21,6 +21,15 @@ with the unit returns the other operand without any arithmetic.
 
 The bar involution q -> q^(-1) is exponent negation followed by
 re-canonicalization; it is an exact field automorphism.
+
+The two slow paths of FieldElement, the general product and the sum over
+non-unit denominators, build a quotient and cancel its GCD.  Their results
+are memoized process-wide in `_quotients`, keyed by the operation and the
+(s, k, pairs) of the four parts, never by identity; both operations commute,
+so the two operands enter the key in sorted order.  Canonical forms are
+unique, so a hit equals a fresh computation.  The memo keeps at most
+_MEMO_CAP = 512 entries and evicts the least recently used; the unit and
+monomial fast paths bypass it.
 """
 
 from __future__ import annotations
@@ -440,9 +449,7 @@ class FieldElement:
             return o
         if self.den is _L_ONE and o.den is _L_ONE:
             return _field_raw(self.num + o.num, _L_ONE)
-        if self.den == o.den:
-            return FieldElement(self.num + o.num, self.den)
-        return FieldElement(self.num * o.den + o.num * self.den, self.den * o.den)
+        return _memo_quotient(_SUM, self, o)
 
     __radd__ = __add__
 
@@ -477,7 +484,7 @@ class FieldElement:
                 return o
             if len(self.num.pairs) == 1:
                 return _field_raw(self.num * o.num, o.den)
-        return FieldElement(self.num * o.num, self.den * o.den)
+        return _memo_quotient(_PRODUCT, self, o)
 
     __rmul__ = __mul__
 
@@ -569,6 +576,31 @@ def _field_raw(num: QLaurent, den: QLaurent) -> FieldElement:
     out = object.__new__(FieldElement)
     object.__setattr__(out, "num", num)
     object.__setattr__(out, "den", den)
+    return out
+
+
+# the memo of the two slow paths; see the module doc
+_MEMO_CAP = 512
+_PRODUCT, _SUM = 0, 1
+_quotients: dict = {}
+
+
+def _memo_quotient(op: int, a: FieldElement, b: FieldElement) -> FieldElement:
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    ka = (an.s, an.k, an.pairs, ad.s, ad.k, ad.pairs)
+    kb = (bn.s, bn.k, bn.pairs, bd.s, bd.k, bd.pairs)
+    key = (op, *ka, *kb) if ka <= kb else (op, *kb, *ka)
+    out = _quotients.pop(key, None)
+    if out is None:
+        if op == _PRODUCT:
+            out = FieldElement(an * bn, ad * bd)
+        elif ad == bd:
+            out = FieldElement(an + bn, ad)
+        else:
+            out = FieldElement(an * bd + bn * ad, ad * bd)
+        if len(_quotients) >= _MEMO_CAP:
+            del _quotients[next(iter(_quotients))]
+    _quotients[key] = out  # (re)inserted last: the dict is in use order
     return out
 
 

@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, inverse, rref, v_clean, v_eq,
-                     v_is_zero, v_scale)
+from .linalg import (SparseMatrix, Vec, rref, v_clean, v_eq, v_is_zero,
+                     v_scale)
 from .qscalar import ONE, ZERO, FieldElement
 from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
                        k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
@@ -367,7 +367,8 @@ def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     tr = make_Tw0(br.module)
     tt = make_Tw0(big)
     pre = _pair_weight_diag(big, bl.module, br.module)
-    mat = pre @ kron_matrix(inverse(tl.matrix), inverse(tr.matrix)) @ tt.matrix
+    mat = (pre @ kron_matrix(tl.inverse().matrix, tr.inverse().matrix)
+           @ tt.matrix)
     return RMatrixResult(mat, "krls", bl, br)
 
 

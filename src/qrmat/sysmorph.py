@@ -469,8 +469,11 @@ def make_Tw0(m: Module) -> TransportedMap:
     Composes the T_i along the reduced word of w0 (intrinsic: works on any
     integrable module, tensor products included; the certification checks
     the lowest-to-highest property on a probe module) and verifies the
-    product against C_{T_w0}.  transport(m, tw0_spec(), lows, highs)
-    builds the same map from explicit pins.
+    product against C_{T_w0}, once per module, which keeps the map.
+    transport(m, tw0_spec(), lows, highs) builds the same map from explicit
+    pins.
     """
     calibrate_braid_variant(m.cartan)
-    return _braid_product(m)
+    if m._tw0 is None:
+        m._tw0 = _braid_product(m)
+    return m._tw0

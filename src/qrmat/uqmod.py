@@ -81,13 +81,15 @@ class Module:
         # powers, the isotypic decomposition (for the scale-block fault
         # injector), the per-weight splits that tensor pins are
         # projected with, string and crystal data (bases), braid operators
-        # (sysmorph), and V (x) W keyed by the right factor W
+        # and their w0-product T_w0 (sysmorph), and V (x) W keyed by the
+        # right factor W
         self._k_cache: Dict[Tuple[int, int], SparseMatrix] = {}
         self._divided_cache: Dict[Tuple[str, int, int], SparseMatrix] = {}
         self._decomposition: Optional[IsotypicDecomposition] = None
         self._splits: Dict[WeightT, WeightSplit] = {}
         self._bases_cache: dict = {}
         self._braid_cache: Dict[int, SparseMatrix] = {}
+        self._tw0 = None
         self._tensors: Dict[Module, Module] = {}
 
     # -- structure ------------------------------------------------------------

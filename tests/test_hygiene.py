@@ -55,6 +55,10 @@ STORED = {
 # module-level names bound to an empty container: state that lives as long
 # as the process
 PROCESS_STATE = {
+    "qscalar._quotients": "memo of the GCD-cancelling products and sums, "
+                          "keyed by the operands' normal forms; at most "
+                          "_MEMO_CAP = 512 entries, least recently used "
+                          "evicted",
     "sysmorph._braid_certified": "Cartan matrices whose braid action is "
                                  "certified; one entry per matrix",
     "bases._signature_certified": "Cartan matrices whose signature rule is "

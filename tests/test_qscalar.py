@@ -202,16 +202,19 @@ def test_laurent_bar_matches_the_general_path(p):
     assert a.bar() == general and a.bar().bar() == a
 
 
+def _assert_canonical(x: FieldElement):
+    if x.is_zero():
+        assert x.den is QLaurent.one()
+        return
+    assert x.den.terms[-1] == (0, 1)
+    # canonicalization is idempotent
+    assert laurent_cancel(x.num, x.den) == (x.num, x.den)
+
+
 @settings(max_examples=60, deadline=None)
 @given(field_elements())
 def test_canonical_form_invariants(a):
-    if a.is_zero():
-        assert a.den == QLaurent.one()
-        return
-    top_e, top_c = a.den.terms[-1]
-    assert top_e == 0 and top_c == 1
-    n, d = laurent_cancel(a.num, a.den)
-    assert (n, d) == (a.num, a.den)  # canonicalization is idempotent
+    _assert_canonical(a)
 
 
 @settings(max_examples=40, deadline=None)
@@ -323,12 +326,56 @@ def test_tracing_hooks_see_scalar_calls(monkeypatch):
         return real(num, den)
 
     a, b = ONE + Q, ONE - Q  # Laurent sums take no cancellation
+    qscalar._quotients.clear()  # a warm memo would serve the sum below
     monkeypatch.setattr(qscalar, "laurent_cancel", counting)
     x = a / b
     assert len(calls) == 1
     x + a.inv()
     assert len(calls) == 2  # the sum over unequal denominators; the inverse
     # of a canonical quotient only rescales it, so it cancels nothing
+
+
+# -- the memo of products and sums ---------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(field_elements(), field_elements())
+def test_memo_serves_what_a_fresh_computation_gives(a, b):
+    qscalar._quotients.clear()
+    fresh = (a * b, a + b)
+    served = (a * b, b * a, a + b, b + a)
+    # the unmemoized general formulas
+    want = (FieldElement(a.num * b.num, a.den * b.den),
+            FieldElement(a.num * b.den + b.num * a.den, a.den * b.den))
+    assert served == (fresh[0], fresh[0], fresh[1], fresh[1])
+    assert fresh == want
+    for x in fresh + served:
+        _assert_canonical(x)
+
+
+def test_structurally_equal_operands_share_one_memo_entry():
+    def build():
+        return FieldElement(QLaurent({2: 1, 0: 3}), QLaurent({1: 1, 0: -1}))
+
+    a1, a2, b = build(), build(), (ONE + Q).inv()
+    assert a1 is not a2 and a1.num is not a2.num
+    qscalar._quotients.clear()
+    x = a1 * b
+    assert len(qscalar._quotients) == 1
+    assert a2 * b is x and b * a2 is x
+    assert len(qscalar._quotients) == 1
+    y = a1 + b
+    assert len(qscalar._quotients) == 2 and b + a2 is y
+
+
+def test_memo_stays_within_its_cap():
+    cap = qscalar._MEMO_CAP
+    x = (ONE + Q).inv()
+    qscalar._quotients.clear()
+    for k in range(1, cap + 40):
+        p = x * F({k: 1, 0: 1})  # (1 + q^k)/(1 + q), a slow-path product
+        assert len(qscalar._quotients) <= cap
+        assert p.is_laurent() == (k % 2 == 1)
+    assert len(qscalar._quotients) == cap
 
 
 # -- error paths ---------------------------------------------------------------
