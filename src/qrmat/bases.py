@@ -25,7 +25,7 @@ from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
                      v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
-                    kron_vec, make_irreducible, tensor, weight_split)
+                    kron_vec, make_irreducible, tensor)
 
 ResidueT = Tuple[Fraction, ...]
 WeightT = Tuple[int, ...]
@@ -926,35 +926,3 @@ def cross_validate_tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> Crystal
     graph = tensor_crystal(bv, bw)
     _check_signature_rule(bv, bw, *_pair_edges(bv, bw))
     return graph
-
-
-# ---------------------------------------------------------------------------
-# Highest weight sets
-# ---------------------------------------------------------------------------
-
-def highest_weight_set(vlam: Module, bmu: GlobalBasis, nu: Sequence[int]
-                       ) -> List[int]:
-    """S^nu: vertices b of the right crystal with b_lambda x b highest of
-    weight nu, cross-checked against the highest weight vectors of weight
-    nu and the projection onto them (uqmod.weight_split)."""
-    nu = tuple(int(x) for x in nu)
-    bl = crystal_graph(vlam)
-    pair = tensor_crystal(bl, bmu.crystal)
-    out = []
-    for h in pair.highest():
-        if pair.weight(h) == nu:
-            out.append(pair.labels[h][1])
-    out.sort()
-
-    split = weight_split(tensor(vlam, bmu.module), nu)
-    if len(split.hw_vectors) != len(out):
-        raise InternalConsistencyError(
-            f"|S^{nu}| = {len(out)} but the isotypic multiplicity is "
-            f"{len(split.hw_vectors)}")
-    for b in out:
-        vec = kron_vec(vlam.hw_vector(), bmu.elements[b], bmu.module.dim)
-        if v_is_zero(split.hw_part(vec)):
-            raise InternalConsistencyError(
-                f"crystal predicts vertex {b} in S^{nu} but the isotypic "
-                f"projection vanishes")
-    return out

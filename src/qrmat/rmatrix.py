@@ -20,6 +20,10 @@ The three constructions:
 They must agree exactly; the checkers (method agreement, hexagon,
 Yang-Baxter, the Gamma identity, normalization row, double braiding,
 scaling independence) report counterexamples with both sides' values.
+The braiding sigma_{V,W} = Flip o r_theta is the one commutor, and
+based_tensor the one decomposition of V (x) W: the scale-block fault
+injector reads its summands, and the isotypic decomposition in uqmod is
+left to the tests as an independent oracle.
 
 Every built object has one owner and lives as long as it does.  The
 Cartan datum owns each V_nu (uqmod.make_irreducible), and a module owns
@@ -40,15 +44,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, rref, v_clean, v_eq, v_is_zero,
-                     v_scale)
+from .linalg import (SparseMatrix, Vec, inverse, rref, v_clean, v_eq,
+                     v_is_zero, v_scale)
 from .qscalar import ONE, ZERO, FieldElement
 from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
                        k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
                        transport)
-from .uqmod import (InternalConsistencyError, Module, isotypic_decomposition,
-                    kron_vec, make_irreducible, summand_order_key, tensor,
-                    weight_split)
+from .uqmod import (InternalConsistencyError, Module, kron_vec,
+                    make_irreducible, summand_order_key, tensor, weight_split)
 
 WeightT = Tuple[int, ...]
 
@@ -96,12 +99,9 @@ class BasedComponent:
             cols = [self.module.apply_f_word(wd, self.hw_vec)
                     for wd in self.ref.words]
             phi = SparseMatrix.from_columns(cols, self.module.dim)
-            for i in range(self.module.cartan.n):
-                for ours, theirs in ((self.module.E[i], self.ref.E[i]),
-                                     (self.module.F[i], self.ref.F[i])):
-                    if (ours @ phi) != (phi @ theirs):
-                        raise InternalConsistencyError(
-                            "component embedding is not an intertwiner")
+            if _intertwiner_failures(phi, self.ref, self.module):
+                raise InternalConsistencyError(
+                    "component embedding is not an intertwiner")
             self._embed = phi
         return self._embed
 
@@ -124,7 +124,7 @@ class BasedModule:
         # right factor so that each dies with either of its factors
         self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # sigma_{V,W} when this is the based tensor product of V and W
-        self._braiding: Optional["Commutor"] = None
+        self._braiding: Optional[SparseMatrix] = None
 
     @property
     def cartan(self) -> CartanDatum:
@@ -335,24 +335,17 @@ def _pair_weight_diag(big: Module, ml: Module, mr: Module) -> SparseMatrix:
     return SparseMatrix(big.dim, big.dim, rows)
 
 
-def _conjugated(spec: MorphismSpec, bl: BasedModule, br: BasedModule,
-                what: str) -> Tuple[BasedModule, SparseMatrix]:
-    """The based tensor product and (x_V^-1 (x) x_W^-1) o x_VW for the
-    system x = spec, which must come out q-linear."""
-    bt = based_tensor(bl, br)
-    xv, xw, xt = (system_on(bm, spec) for bm in (bl, br, bt))
-    comp = tensor_of_maps(xv.inverse(), xw.inverse(), bt.module).compose(xt)
-    if comp.bar_linear:
-        raise InternalConsistencyError(f"{what} composite is not q-linear")
-    return bt, comp.matrix
-
-
 def r_theta(bl: BasedModule, br: BasedModule,
             wrong_sign: bool = False) -> RMatrixResult:
     """(Theta^-1 (x) Theta^-1) Delta(Theta): the composite of bar-linear
     maps, hence an honest q-linear matrix."""
-    _, mat = _conjugated(theta_spec(wrong_sign), bl, br, "Theta")
-    return RMatrixResult(mat, "theta", bl, br)
+    bt = based_tensor(bl, br)
+    tv, tw, tt = (system_on(bm, theta_spec(wrong_sign))
+                  for bm in (bl, br, bt))
+    comp = tensor_of_maps(tv.inverse(), tw.inverse(), bt.module).compose(tt)
+    if comp.bar_linear:
+        raise InternalConsistencyError("Theta composite is not q-linear")
+    return RMatrixResult(comp.matrix, "theta", bl, br)
 
 
 def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
@@ -445,12 +438,11 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     for k, (s, t) in enumerate(unknowns):
         if not x[k].is_zero():
             out_rows.setdefault(s, {})[t] = x[k]
+    # Flip o R intertwines without a further check: the system holds every
+    # entry of M2 R = R M for each E_i and F_i, and _unique_solution raises
+    # on any inconsistent row, so the returned R satisfies them exactly;
+    # K_i commutes with Flip o R since R and the flip keep total weight
     mat = SparseMatrix(big.dim, big.dim, out_rows)
-    fails = _intertwiner_failures(p @ mat, big, wv)
-    if fails:
-        raise InternalConsistencyError(
-            "solved triangular R does not intertwine after the flip: "
-            + json.dumps(fails[0]))
     return RMatrixResult(mat, "oracle", bl, br)
 
 
@@ -468,48 +460,23 @@ def r_matrix(bl: BasedModule, br: BasedModule,
 
 
 # ---------------------------------------------------------------------------
-# Commutors
+# The braiding
 # ---------------------------------------------------------------------------
 
-class Commutor:
-    """A verified isomorphism V (x) W -> W (x) V (or an endomorphism of
-    V (x) W when no flip is involved)."""
-
-    def __init__(self, matrix: SparseMatrix, flipped: bool):
-        self.matrix = matrix
-        self.flipped = flipped
-
-
-def build_commutor(spec: MorphismSpec, bl: BasedModule,
-                   br: BasedModule) -> Commutor:
-    """Flip o (xi_V^-1 (x) xi_W^-1) o xi_VW for a coalgebra
-    anti-automorphism system; the same composite without the flip (an
-    endomorphism of V (x) W) for a coalgebra automorphism system.  The
-    result is verified to intertwine the module actions."""
-    if spec.comultiplicativity not in ("anti", "auto"):
-        raise ValueError(f"{spec.name} has no comultiplicativity, so it "
-                         f"induces no commutor")
-    bt, mat = _conjugated(spec, bl, br, f"{spec.name} commutor")
-    flipped = spec.comultiplicativity == "anti"
-    if flipped:
-        dst = tensor(br.module, bl.module)
-        mat = flip_matrix(bl.module.dim, br.module.dim) @ mat
-    else:
-        dst = bt.module
-    fails = _intertwiner_failures(mat, bt.module, dst)
-    if fails:
-        raise InternalConsistencyError(
-            f"{spec.name} commutor does not intertwine the actions: "
-            + json.dumps(fails[0]))
-    return Commutor(mat, flipped)
-
-
-def braiding(bl: BasedModule, br: BasedModule) -> Commutor:
-    """sigma_{V,W} = Flip o r_theta, the commutor of the Theta system,
-    verified as an intertwiner and kept on the based tensor product."""
+def braiding(bl: BasedModule, br: BasedModule) -> SparseMatrix:
+    """sigma_{V,W} = Flip o r_theta: V (x) W -> W (x) V, verified as an
+    intertwiner and kept on the based tensor product."""
     bt = based_tensor(bl, br)
     if bt._braiding is None:
-        bt._braiding = build_commutor(theta_spec(), bl, br)
+        sigma = (flip_matrix(bl.module.dim, br.module.dim)
+                 @ r_theta(bl, br).matrix)
+        fails = _intertwiner_failures(sigma, bt.module,
+                                      tensor(br.module, bl.module))
+        if fails:
+            raise InternalConsistencyError(
+                "braiding does not intertwine the actions: "
+                + json.dumps(fails[0]))
+        bt._braiding = sigma
     return bt._braiding
 
 
@@ -545,18 +512,16 @@ def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
 
 
 def check_method_agreement(bl: BasedModule, br: BasedModule,
-                           wrong_sign: bool = False,
-                           rescale: bool = True) -> CheckReport:
-    """r_theta == r_krls == r_oracle entrywise, and (with rescale) r_theta
-    is invariant under rescaling both factor pins by each fixed test
-    coefficient."""
+                           wrong_sign: bool = False) -> CheckReport:
+    """r_theta == r_krls == r_oracle entrywise, and r_theta is invariant
+    under rescaling both factor pins by each fixed test coefficient."""
     rt = r_theta(bl, br, wrong_sign=wrong_sign)
     rk = r_krls(bl, br)
     ro = r_oracle(bl, br)
     ces: List[dict] = []
     ces += _matrix_counterexamples("theta vs krls", rt.matrix, rk.matrix)
     ces += _matrix_counterexamples("theta vs oracle", rt.matrix, ro.matrix)
-    if rescale and not ces:
+    if not ces:
         for z in RESCALE_COEFFS:
             redo = r_theta(_rescaled_factor(bl.module, z),
                            _rescaled_factor(br.module, z))
@@ -590,18 +555,23 @@ def check_scaling(bl: BasedModule, br: BasedModule) -> CheckReport:
     return CheckReport("scaling", ces)
 
 
-def scale_isotypic_block(mat: SparseMatrix, big: Module, index: int,
+def scale_isotypic_block(mat: SparseMatrix, bt: BasedModule, index: int,
                          z: FieldElement) -> SparseMatrix:
-    """mat composed with scaling of one isotypic block: a fault injector."""
-    dec = isotypic_decomposition(big)
-    block = dec.block(dec.components[index].nu)
+    """mat composed with z times the isotypic projector of the summand
+    index of bt (in summand_order_key order) plus the projector onto the
+    rest: a fault injector."""
+    key = summand_order_key(bt.cartan)
+    comps = sorted(bt.components, key=lambda c: key(c.nu))
+    dim = bt.module.dim
+    cols: List[Vec] = []
     rows = {}
-    for k, (lo, hi) in enumerate(dec.slices):
-        c = z if k in block else ONE
-        for t in range(lo, hi):
-            rows[t] = {t: c}
-    twist = dec.change @ SparseMatrix(big.dim, big.dim, rows) @ dec.change_inv
-    return mat @ twist
+    for comp in comps:
+        c = z if comp.nu == comps[index].nu else ONE
+        for col in comp.embed.transpose().rows.values():
+            rows[len(cols)] = {len(cols): c}
+            cols.append(col)
+    change = SparseMatrix.from_columns(cols, dim)
+    return mat @ change @ SparseMatrix(dim, dim, rows) @ inverse(change)
 
 
 def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
@@ -613,19 +583,18 @@ def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
     before checking; the report must then carry a counterexample.
     """
     du, dv, dw = bu.module.dim, bv.module.dim, bw.module.dim
-    s_vw = braiding(bv, bw).matrix
+    s_vw = braiding(bv, bw)
     if perturb == "scale-block":
-        s_vw = scale_isotypic_block(
-            s_vw, tensor(bv.module, bw.module), 0,
-            FieldElement.q_power(1))
+        s_vw = scale_isotypic_block(s_vw, based_tensor(bv, bw), 0,
+                                    FieldElement.q_power(1))
     elif perturb is not None:
         raise ValueError(f"unknown perturbation {perturb!r}")
-    s_uw = braiding(bu, bw).matrix
-    s_uv = braiding(bu, bv).matrix
+    s_uw = braiding(bu, bw)
+    s_uv = braiding(bu, bv)
     buv = based_tensor(bu, bv)
     bvw = based_tensor(bv, bw)
-    s_uv_w = braiding(buv, bw).matrix
-    s_u_vw = braiding(bu, bvw).matrix
+    s_uv_w = braiding(buv, bw)
+    s_u_vw = braiding(bu, bvw)
 
     lhs1 = kron_matrix(s_uw, SparseMatrix.identity(dv)) \
         @ kron_matrix(SparseMatrix.identity(du), s_vw)
@@ -651,17 +620,17 @@ def check_ybe(bv: BasedModule, wrong_flip: bool = False,
     braid relation.
     """
     d = bv.module.dim
-    big = tensor(bv.module, bv.module)
+    bt = based_tensor(bv, bv)
     if wrong_flip:
         s = r_theta(bv, bv).matrix @ flip_matrix(d, d)
     else:
-        s = braiding(bv, bv).matrix
+        s = braiding(bv, bv)
     if perturb == "scale-block":
-        s = scale_isotypic_block(s, big, 0, FieldElement.q_power(1))
+        s = scale_isotypic_block(s, bt, 0, FieldElement.q_power(1))
     elif perturb is not None:
         raise ValueError(f"unknown perturbation {perturb!r}")
     ces = [dict(ce, check="sigma module map: " + ce["check"])
-           for ce in _intertwiner_failures(s, big, big)]
+           for ce in _intertwiner_failures(s, bt.module, bt.module)]
     a = kron_matrix(s, SparseMatrix.identity(d))
     b = kron_matrix(SparseMatrix.identity(d), s)
     ces += _matrix_counterexamples("braid relation on V (x) V (x) V",
@@ -784,7 +753,7 @@ def check_double_braiding(bl: BasedModule, br: BasedModule
     """sigma_{W,V} o sigma_{V,W} acts as a scalar on each summand of the
     based tensor product, highest first (uqmod.summand_order_key); the
     scalars are returned as data, not asserted."""
-    sq = braiding(br, bl).matrix @ braiding(bl, br).matrix
+    sq = braiding(br, bl) @ braiding(bl, br)
     bt = based_tensor(bl, br)
     key = summand_order_key(bt.cartan)
     ces: List[dict] = []

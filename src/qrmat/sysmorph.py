@@ -42,26 +42,22 @@ PinFn = Callable[[Any], Vec]
 
 class MorphismSpec:
     """A system of module maps: generator images of an algebra morphism,
-    its linearity, its pin values and its coproduct behaviour.
+    its linearity and its pin values.
 
     pin gives the map's value on a based summand's highest weight pin, or
     is None for a morphism transported only from explicit pins.
-    comultiplicativity is "auto", "anti", or None: build_commutor reads it
-    to decide whether the commutor of the system needs the tensor flip.
     """
 
     def __init__(self, name: str, bar_linear: bool,
                  e_image: ImageFn, f_image: ImageFn,
                  k_image: Callable[[Module, int, int], SparseMatrix],
-                 pin: Optional[PinFn] = None,
-                 comultiplicativity: Optional[str] = None):
+                 pin: Optional[PinFn] = None):
         self.name = name
         self.bar_linear = bar_linear
         self.e_image = e_image
         self.f_image = f_image
         self.k_image = k_image
         self.pin = pin
-        self.comultiplicativity = comultiplicativity
 
     def __repr__(self):
         kind = "bar-linear" if self.bar_linear else "q-linear"
@@ -120,7 +116,7 @@ def theta_spec(wrong_sign: bool = False) -> MorphismSpec:
         lambda m, i: m.E[i] @ m.k_i(i, -1),
         lambda m, i: m.k_i(i, 1) @ m.F[i],
         lambda m, i, p: m.k_i(i, -p),
-        pin=pin, comultiplicativity="anti")
+        pin=pin)
 
 
 def gamma_spec() -> MorphismSpec:
@@ -138,7 +134,7 @@ def gamma_spec() -> MorphismSpec:
     return MorphismSpec(
         "gamma", True, e_im, f_im,
         lambda m, i, p: m.k_i(m.cartan.theta[i], p),
-        pin=lambda c: c.lowest_element(), comultiplicativity="auto")
+        pin=lambda c: c.lowest_element())
 
 
 def tw0_spec() -> MorphismSpec:
@@ -325,13 +321,19 @@ def transport(m: Module, spec: MorphismSpec,
 
     # kept row p is (e_p | column p of A)
     cols = [{j - dim: x for j, x in kept.rows[p].items()} for p in range(dim)]
-    tmap = TransportedMap(m, SparseMatrix.from_columns(cols, dim),
-                          spec.bar_linear, spec.name)
+    return _verified(TransportedMap(m, SparseMatrix.from_columns(cols, dim),
+                                    spec.bar_linear, spec.name),
+                     spec, f"transport of {spec.name}")
+
+
+def _verified(tmap: TransportedMap, spec: MorphismSpec,
+              what: str) -> TransportedMap:
+    """tmap, once its compatibility square with spec commutes; raises with
+    the first three failures otherwise."""
     failures = list(islice(verify_compatibility(tmap, spec), 3))
     if failures:
         raise InternalConsistencyError(
-            f"transport of {spec.name} violates compatibility: "
-            + "; ".join(failures))
+            f"{what} violates compatibility: " + "; ".join(failures))
     return tmap
 
 
@@ -348,13 +350,9 @@ def make_J(m: Module) -> TransportedMap:
     for idx, wt in enumerate(m.weights):
         exp = cd.bilinear(wt, wt) / 2 + cd.bilinear(wt, cd.rho)
         rows[idx] = {idx: FieldElement.q_power(exp)}
-    tmap = TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False, "J")
-    failures = list(islice(verify_compatibility(tmap, j_spec()), 3))
-    if failures:
-        raise InternalConsistencyError(
-            "weight-diagonal J violates C_J compatibility: "
-            + "; ".join(failures))
-    return tmap
+    return _verified(TransportedMap(m, SparseMatrix(m.dim, m.dim, rows),
+                                    False, "J"),
+                     j_spec(), "weight-diagonal J")
 
 
 def k_2rho(m: Module) -> TransportedMap:
@@ -427,13 +425,8 @@ def _braid_product(m: Module) -> TransportedMap:
     out = SparseMatrix.identity(m.dim)
     for i in m.cartan.w0_word:
         out = out @ braid_operator(m, i)
-    tmap = TransportedMap(m, out, False, "tw0-braid")
-    failures = list(islice(verify_compatibility(tmap, tw0_spec()), 3))
-    if failures:
-        raise InternalConsistencyError(
-            "braid-product T_w0 violates compatibility: "
-            + "; ".join(failures))
-    return tmap
+    return _verified(TransportedMap(m, out, False, "tw0-braid"),
+                     tw0_spec(), "braid-product T_w0")
 
 
 def calibrate_braid_variant(cd: CartanDatum) -> None:

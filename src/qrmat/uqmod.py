@@ -78,14 +78,12 @@ class Module:
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
         # objects derived from this module live on it: K_i powers, divided
-        # powers, the isotypic decomposition (for the scale-block fault
-        # injector), the per-weight splits that tensor pins are
-        # projected with, string and crystal data (bases), braid operators
-        # and their w0-product T_w0 (sysmorph), and V (x) W keyed by the
-        # right factor W
+        # powers, the per-weight splits that tensor pins are projected
+        # with, string and crystal data (bases), braid operators and their
+        # w0-product T_w0 (sysmorph), and V (x) W keyed by the right
+        # factor W
         self._k_cache: Dict[Tuple[int, int], SparseMatrix] = {}
         self._divided_cache: Dict[Tuple[str, int, int], SparseMatrix] = {}
-        self._decomposition: Optional[IsotypicDecomposition] = None
         self._splits: Dict[WeightT, WeightSplit] = {}
         self._bases_cache: dict = {}
         self._braid_cache: Dict[int, SparseMatrix] = {}
@@ -533,10 +531,6 @@ class IsotypicDecomposition:
         except ValueError as exc:
             raise InternalConsistencyError("component bases are dependent") from exc
 
-    def block(self, nu: WeightT) -> List[int]:
-        """Indices of the components of highest weight nu."""
-        return [k for k, comp in enumerate(self.components) if comp.nu == nu]
-
     def project(self, v: Vec, *comp_indices: int) -> Vec:
         """Projection onto the given components along the others."""
         spans = [self.slices[k] for k in comp_indices]
@@ -557,10 +551,11 @@ def summand_order_key(cd: CartanDatum):
 def isotypic_decomposition(m: Module) -> IsotypicDecomposition:
     """Split a completely reducible module into highest-weight components.
 
-    Components are ordered by summand_order_key, highest first.
+    Components are ordered by summand_order_key, highest first.  The
+    package decomposes tensor products through rmatrix.based_tensor; this
+    independent construction is kept as the oracle the tests compare
+    against, and is rebuilt on every call.
     """
-    if m._decomposition is not None:
-        return m._decomposition
     dominant = sorted((wt for wt in m.weight_multiplicities()
                        if m.cartan.is_dominant(wt)),
                       key=summand_order_key(m.cartan))
@@ -572,7 +567,6 @@ def isotypic_decomposition(m: Module) -> IsotypicDecomposition:
             comps.append(IsotypicComponent(nu, hw, basis, ref))
     dec = IsotypicDecomposition(m, comps)
     _verify_decomposition(dec)
-    m._decomposition = dec
     return dec
 
 

@@ -10,13 +10,13 @@ import pytest
 import qrmat.bases as bases
 from qrmat.bases import (Frame, GlobalBasis,
                          compute_global_basis, cross_validate_tensor_crystal,
-                         crystal_graph, highest_weight_set,
-                         certify_signature_rule, kashiwara_operators,
-                         tensor_crystal)
+                         crystal_graph, certify_signature_rule,
+                         kashiwara_operators, tensor_crystal)
 from qrmat.cartan import make_cartan
 from qrmat.cli import _canon
 from qrmat.linalg import inverse, v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement, Q, QLaurent
+from qrmat.rmatrix import based_irreducible, based_tensor
 from qrmat.sysmorph import braid_operator
 from qrmat.uqmod import (InternalConsistencyError,
                          ModuleConstructionError, make_irreducible,
@@ -401,33 +401,48 @@ def test_tensor_crystal_axioms_hold():
 # -- highest weight sets -----------------------------------------------------
 
 
+def highest_weight_set(vlam, vmu, nu):
+    """S^nu: the vertices b of the right crystal with b_lambda (x) b
+    highest of weight nu in the pair crystal."""
+    pair = tensor_crystal(crystal_graph(vlam), crystal_graph(vmu))
+    return sorted(pair.labels[h][1] for h in pair.highest()
+                  if pair.weight(h) == tuple(nu))
+
+
+def summand_weights(vlam, vmu):
+    """The highest weights of the summands based_tensor pins, with
+    multiplicity."""
+    bt = based_tensor(based_irreducible(vlam), based_irreducible(vmu))
+    return sorted(c.nu for c in bt.components)
+
+
 def test_a1_highest_weight_sets_match_clebsch_gordan():
     v = make_irreducible(A1, (1,))
-    gb = compute_global_basis(make_irreducible(A1, (1,)))
-    assert highest_weight_set(v, gb, (2,)) == [0]
-    assert highest_weight_set(v, gb, (0,)) == [1]
+    assert highest_weight_set(v, v, (2,)) == [0]
+    assert highest_weight_set(v, v, (0,)) == [1]
+    assert summand_weights(v, v) == [(0,), (2,)]
 
 
 def test_a2_highest_weight_sets_on_adjoint_pair():
     v = make_irreducible(A2, (1, 1))
-    gb = compute_global_basis(make_irreducible(A2, (1, 1)))
     # 8 (x) 8 = 27 + 10 + 10bar + 8 + 8 + 1
-    assert len(highest_weight_set(v, gb, (2, 2))) == 1
-    assert len(highest_weight_set(v, gb, (1, 1))) == 2
-    assert len(highest_weight_set(v, gb, (0, 0))) == 1
-    assert len(highest_weight_set(v, gb, (3, 0))) == 1
-    assert len(highest_weight_set(v, gb, (0, 3))) == 1
+    want = {(2, 2): 1, (1, 1): 2, (0, 0): 1, (3, 0): 1, (0, 3): 1}
+    for nu, k in want.items():
+        assert len(highest_weight_set(v, v, nu)) == k
+    assert summand_weights(v, v) == sorted(
+        nu for nu, k in want.items() for _ in range(k))
 
 
 def test_highest_weight_set_vertices_carry_the_right_weight():
     v = make_irreducible(A2, (1, 0))
-    gb = compute_global_basis(make_irreducible(A2, (0, 1)))
-    s = highest_weight_set(v, gb, (0, 0))
+    w = make_irreducible(A2, (0, 1))
+    s = highest_weight_set(v, w, (0, 0))
     assert len(s) == 1
     b = s[0]
     lam = (1, 0)
-    mu_b = gb.crystal.weight(b)
+    mu_b = crystal_graph(w).weight(b)
     assert tuple(a + c for a, c in zip(lam, mu_b)) == (0, 0)
+    assert summand_weights(v, w) == [(0, 0), (1, 1)]
 
 
 def test_global_basis_with_a_repeated_element_raises():

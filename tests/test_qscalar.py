@@ -172,7 +172,7 @@ def field_elements(draw):
     return FieldElement(num, den)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(field_elements(), field_elements(), field_elements())
 def test_field_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -185,7 +185,7 @@ def test_field_axioms(a, b, c):
         assert a * a.inv() == ONE
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(field_elements(), field_elements())
 def test_bar_is_an_involutive_automorphism(a, b):
     assert a.bar().bar() == a
@@ -193,7 +193,7 @@ def test_bar_is_an_involutive_automorphism(a, b):
     assert (a * b).bar() == a.bar() * b.bar()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(laurents())
 def test_laurent_bar_matches_the_general_path(p):
     # a denominator-1 element skips the top-term rescaling of the quotient
@@ -211,13 +211,13 @@ def _assert_canonical(x: FieldElement):
     assert laurent_cancel(x.num, x.den) == (x.num, x.den)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(field_elements())
 def test_canonical_form_invariants(a):
     _assert_canonical(a)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, report_multiple_bugs=False)
 @given(field_elements(), laurents(min_terms=1).filter(lambda p: not p.is_zero()))
 def test_representative_independence(a, junk):
     # multiplying num and den by shared junk must not change the element
@@ -225,7 +225,7 @@ def test_representative_independence(a, junk):
     assert a == b and hash(a) == hash(b)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, report_multiple_bugs=False)
 @given(field_elements())
 def test_json_round_trip(a):
     obj = a.to_json_obj()
@@ -234,7 +234,7 @@ def test_json_round_trip(a):
     assert FieldElement.from_json_obj(obj) == a
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, report_multiple_bugs=False)
 @given(field_elements())
 def test_copy_and_pickle_round_trip(a):
     for x in (a, a.num):
@@ -243,7 +243,7 @@ def test_copy_and_pickle_round_trip(a):
             assert type(y) is type(x) and y == x and hash(y) == hash(x)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(exponents, rationals.filter(bool), field_elements())
 def test_the_unit_is_interned(e, c, x):
     # FieldElement tests "den is 1" by identity, so every way of making 1
@@ -293,7 +293,7 @@ def _u_span(poly) -> int:
     return len(coeffs) - 1 - next(i for i, c in enumerate(coeffs) if c)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, report_multiple_bugs=False)
 @given(laurents(), laurents(min_terms=1).filter(lambda p: not p.is_zero()))
 def test_cancel_matches_sympy(num, den):
     x = FieldElement(num, den)
@@ -337,7 +337,7 @@ def test_tracing_hooks_see_scalar_calls(monkeypatch):
 
 # -- the memo of products and sums ---------------------------------------------
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, report_multiple_bugs=False)
 @given(field_elements(), field_elements())
 def test_memo_serves_what_a_fresh_computation_gives(a, b):
     qscalar._quotients.clear()

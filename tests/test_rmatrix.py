@@ -1,4 +1,4 @@
-"""R-matrices three ways, tensor pinning, commutors, and the checkers."""
+"""R-matrices three ways, tensor pinning, the braiding, and the checkers."""
 
 import gc
 import json
@@ -13,7 +13,7 @@ from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq
 from qrmat.qscalar import ONE, FieldElement
 from qrmat.rmatrix import (RMatrixResult, based_irreducible,
-                           based_tensor, braiding, build_commutor,
+                           based_tensor, braiding,
                            check_double_braiding, check_gamma_lemma,
                            check_hexagon, check_lemma_identities,
                            check_method_agreement, check_normalization,
@@ -21,9 +21,8 @@ from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            system_on,
                            kron_matrix, r_krls, r_matrix, r_oracle, r_theta,
                            scale_isotypic_block, _unique_solution)
-from qrmat.sysmorph import (bar_spec, calibrate_braid_variant, gamma_spec,
-                            identity_spec, make_J, make_Tw0, theta_spec,
-                            transport, tw0_spec)
+from qrmat.sysmorph import (calibrate_braid_variant, gamma_spec, make_J,
+                            make_Tw0, theta_spec, transport, tw0_spec)
 from qrmat.uqmod import (InternalConsistencyError, kron_vec,
                          make_irreducible, tensor)
 
@@ -124,11 +123,14 @@ def test_based_tensor_and_braiding_die_with_a_factor():
     bl = based_of("A1", (1,))
     br = based_irreducible(bl.module)
     bt = weakref.ref(based_tensor(bl, br))
-    sigma = weakref.ref(braiding(bl, br))
+    # the braiding lives on the based tensor product, so it dies with it
+    assert bt()._braiding is None
+    braiding(bl, br)
     assert bt() is based_tensor(bl, br)
+    assert bt()._braiding is braiding(bl, br)
     del br
     gc.collect()
-    assert bt() is None and sigma() is None
+    assert bt() is None
 
 
 @pytest.mark.parametrize("label,lam,mu", [
@@ -280,38 +282,43 @@ def test_jtw0_conjugate_equals_r_theta():
     assert mat == r_theta(bl, br).matrix
 
 
-# -- commutors ----------------------------------------------------------------
+# -- the braiding -------------------------------------------------------------
 
 
 def test_theta_commutor_is_flip_after_r_theta():
     bl, br = based_of("A1", (1,)), based_of("A1", (2,))
-    c = build_commutor(theta_spec(), bl, br)
-    assert c.flipped
     want = flip_matrix(bl.module.dim, br.module.dim) @ r_theta(bl, br).matrix
-    assert c.matrix == want
-    assert c.matrix == braiding(bl, br).matrix
+    assert braiding(bl, br) == want
+    assert braiding(bl, br) is braiding(bl, br)
 
 
-def test_gamma_commutor_is_the_identity_endomorphism():
-    bl, br = based_of("A1", (1,)), based_of("A1", (2,))
-    c = build_commutor(gamma_spec(), bl, br)
-    assert not c.flipped
-    assert c.matrix == SparseMatrix.identity(bl.module.dim * br.module.dim)
-
-
-def test_identity_system_flip_fails_to_intertwine():
-    # a (trivially) coalgebra anti-automorphism reading: the commutor it
-    # induces is the bare Flip, which fails to intertwine on generic pairs
-    spec = identity_spec()
-    spec.comultiplicativity = "anti"
+def test_identity_system_flip_fails_to_intertwine(monkeypatch):
+    # with r_theta replaced by the identity the braiding is the bare Flip,
+    # the commutor of the identity system, which fails to intertwine on
+    # generic pairs; fresh factors keep a kept braiding from answering
+    bl = based_irreducible(make_irreducible(A1, (1,)))
+    br = based_irreducible(make_irreducible(A1, (2,)))
+    monkeypatch.setattr(rmatrix, "r_theta", lambda left, right: RMatrixResult(
+        SparseMatrix.identity(left.module.dim * right.module.dim),
+        "identity", left, right))
     with pytest.raises(InternalConsistencyError):
-        build_commutor(spec, based_of("A1", (1,)), based_of("A1", (2,)))
+        braiding(bl, br)
 
 
-def test_commutor_wants_a_comultiplicativity():
-    # bar is a morphism with no coproduct reading, so no commutor
-    with pytest.raises(ValueError):
-        build_commutor(bar_spec(), based_of("A1", (1,)), based_of("A1", (2,)))
+@pytest.mark.parametrize("label,lam,mu", [
+    ("A1", (1,), (2,)),
+    ("A2", (1, 0), (0, 1)),
+    ("A2", (1, 0), (1, 1)),
+    ("B2", (1, 0), (0, 1)),
+])
+def test_flip_after_r_oracle_intertwines(label, lam, mu):
+    # r_oracle returns its solution unchecked; the solve decides this
+    bl, br = based_of(label, lam), based_of(label, mu)
+    sigma = flip_matrix(bl.module.dim, br.module.dim) \
+        @ r_oracle(bl, br).matrix
+    assert rmatrix._intertwiner_failures(
+        sigma, tensor(bl.module, br.module),
+        tensor(br.module, bl.module)) == []
 
 
 # -- systems on based modules -------------------------------------------------
@@ -376,7 +383,7 @@ def test_ybe_braid_relation(label, hw):
 
 
 def test_ybe_compares_all_64_entries_on_a1_fundamental():
-    s = braiding(based_of("A1", (1,)), based_of("A1", (1,))).matrix
+    s = braiding(based_of("A1", (1,)), based_of("A1", (1,)))
     cube = kron_matrix(s, SparseMatrix.identity(2))
     assert cube.nrows == cube.ncols == 8
 
@@ -472,11 +479,41 @@ def test_wrong_flip_side_fails_module_map_half_of_ybe():
 
 def test_scale_isotypic_block_changes_exactly_one_block():
     bl, br = based_of("A1", (1,)), based_of("A1", (1,))
-    big = tensor(bl.module, br.module)
+    bt = based_tensor(bl, br)
     r = r_theta(bl, br).matrix
-    twisted = scale_isotypic_block(r, big, 0, qp(1))
+    twisted = scale_isotypic_block(r, bt, 0, qp(1))
     assert twisted != r
-    assert scale_isotypic_block(twisted, big, 0, qp(-1)) == r
+    assert scale_isotypic_block(twisted, bt, 0, qp(-1)) == r
+
+
+@pytest.mark.parametrize("factors,index", [
+    ((("A1", (1,)), ("A1", (1,))), 0),
+    ((("A1", (1,)), ("A1", (1,))), 1),
+    # V(1)^(x)3 = V(3) + 2 V(1): a block of two summands
+    ((("A1", (1,)),) * 3, 0),
+    ((("A1", (1,)),) * 3, 1),
+    ((("A1", (1,)),) * 3, 2),
+    ((("A2", (1, 0)), ("A2", (1, 1))), 1),
+    ((("B2", (0, 1)), ("B2", (0, 1))), 0),
+    ((("B2", (0, 1)), ("B2", (0, 1))), 2),
+])
+def test_scale_isotypic_block_matches_the_isotypic_oracle(factors, index):
+    # the twist is z on the isotypic block of summand index and 1 on the
+    # rest, whichever basis spans the summands
+    bt = based_of(*factors[0])
+    for factor in factors[1:]:
+        bt = based_tensor(bt, based_of(*factor))
+    z = qp(1)
+    dim = bt.module.dim
+    twist = scale_isotypic_block(SparseMatrix.identity(dim), bt, index, z)
+    dec = uqmod.isotypic_decomposition(bt.module)
+    nu = dec.components[index].nu
+    rows = {}
+    for k, (lo, hi) in enumerate(dec.slices):
+        for t in range(lo, hi):
+            rows[t] = {t: z if dec.components[k].nu == nu else ONE}
+    want = dec.change @ SparseMatrix(dim, dim, rows) @ dec.change_inv
+    assert twist == want
 
 
 def test_passing_checks_subtract_nothing(monkeypatch):
