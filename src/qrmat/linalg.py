@@ -30,7 +30,7 @@ Vec = Dict[int, FieldElement]
 # -- vector helpers ----------------------------------------------------------
 
 def v_clean(v: Vec) -> Vec:
-    return {k: c for k, c in v.items() if not c.is_zero()}
+    return {k: c for k, c in v.items() if c.num.pairs}
 
 def v_add(a: Vec, b: Vec) -> Vec:
     out = dict(a)
@@ -52,7 +52,7 @@ def v_sub(a: Vec, b: Vec) -> Vec:
     return v_add(a, {k: -x for k, x in b.items()})
 
 def v_is_zero(a: Vec) -> bool:
-    return all(c.is_zero() for c in a.values())
+    return not any(c.num.pairs for c in a.values())
 
 def v_eq(a: Vec, b: Vec) -> bool:
     return v_clean(a) == v_clean(b)
@@ -72,7 +72,7 @@ class SparseMatrix:
         self.ncols = ncols
         clean: Dict[int, Dict[int, FieldElement]] = {}
         for i, row in (rows or {}).items():
-            r = {j: c for j, c in row.items() if not c.is_zero()}
+            r = {j: c for j, c in row.items() if c.num.pairs}
             if r:
                 clean[i] = r
         self.rows = clean
@@ -125,7 +125,7 @@ class SparseMatrix:
                 x = v.get(j)
                 if x is not None:
                     acc = c * x if acc is None else acc + c * x
-            if acc is not None and not acc.is_zero():
+            if acc is not None and acc.num.pairs:
                 out[i] = acc
         return out
 
@@ -146,10 +146,10 @@ class SparseMatrix:
                         acc[j] = c * d
                         continue
                     s = x + c * d
-                    if s.is_zero():
-                        del acc[j]
-                    else:
+                    if s.num.pairs:
                         acc[j] = s
+                    else:
+                        del acc[j]
             if acc:
                 rows[i] = acc
         return SparseMatrix._of_clean_rows(self.nrows, other.ncols, rows)
@@ -177,7 +177,7 @@ class SparseMatrix:
         return self.add(-other)
 
     def __neg__(self) -> "SparseMatrix":
-        return self.map_entries(lambda x: -x)
+        return self.map_entries(FieldElement.__neg__)
 
     def scale(self, c: FieldElement) -> "SparseMatrix":
         if c.is_zero():
@@ -191,7 +191,7 @@ class SparseMatrix:
             {i: {j: fn(x) for j, x in r.items()} for i, r in self.rows.items()})
 
     def bar_entries(self) -> "SparseMatrix":
-        return self.map_entries(lambda x: x.bar())
+        return self.map_entries(FieldElement.bar)
 
     def transpose(self) -> "SparseMatrix":
         rows: Dict[int, Dict[int, FieldElement]] = {}
@@ -253,13 +253,15 @@ def _entry_cost(x: FieldElement) -> int:
 
 def _eliminate(row: Vec, f: FieldElement, prow: Vec) -> None:
     """row -= f * prow in place, dropping the zeros it makes."""
+    # f * b, not (-f) * b: the products elsewhere share f * b's memo key,
+    # and keying by -f costs more GCD cancellations
     for j, b in prow.items():
         x = row.get(j)
-        x = -(f * b) if x is None else x - f * b
-        if x.is_zero():
-            row.pop(j, None)
-        else:
+        x = -(f * b) if x is None else x + -(f * b)
+        if x.num.pairs:
             row[j] = x
+        else:
+            row.pop(j, None)
 
 
 def rref(rows: Iterable[Vec], ncols: int) -> Tuple[Dict[int, Vec], List[Vec]]:

@@ -22,6 +22,14 @@ with the unit returns the other operand without any arithmetic.
 The bar involution q -> q^(-1) is exponent negation followed by
 re-canonicalization; it is an exact field automorphism.
 
+Unit scale: most Laurent polynomials met in practice have s = k = 1, and
+over s = k = 1 every list of pairs is already in normal form (gcd(1, .) =
+1).  A Laurent product or sum of two such operands merges the integer
+pairs directly and skips the lcm, the rescaling and the reduction; it
+returns the object the general path would, the interned 1 included.
+Objects are made past the immutability guard by writing their slots
+through the slot descriptors, captured once at import.
+
 The two slow paths of FieldElement, the general product and the sum over
 non-unit denominators, build a quotient and cancel its GCD.  Their results
 are memoized process-wide in `_quotients`, keyed by the operation and the
@@ -133,18 +141,24 @@ class QLaurent:
             return other
         if not other.pairs:
             return self
-        s, k = lcm(self.s, other.s), lcm(self.k, other.k)
-        acc = dict(_stretch(self, s, k))
-        for e, c in _stretch(other, s, k):
+        unit = self.s == other.s == self.k == other.k == 1
+        if unit:
+            acc, b = dict(self.pairs), other.pairs
+        else:
+            s, k = lcm(self.s, other.s), lcm(self.k, other.k)
+            acc, b = dict(_stretch(self, s, k)), _stretch(other, s, k)
+        for e, c in b:
             t = acc.get(e, 0) + c
             if t:
                 acc[e] = t
             else:
                 del acc[e]
+        if unit:  # over s = k = 1 every pair list is in normal form
+            return _raw(1, 1, tuple(sorted(acc.items()))) if acc else _L_ZERO
         return _make(s, k, tuple(sorted(acc.items())))
 
     def __neg__(self) -> "QLaurent":
-        return _raw(self.s, self.k, tuple((e, -c) for e, c in self.pairs))
+        return _raw(self.s, self.k, tuple([(e, -c) for e, c in self.pairs]))
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         if not isinstance(other, QLaurent):
@@ -158,25 +172,32 @@ class QLaurent:
             return other
         if other is _L_ONE:
             return self
-        if not self.pairs or not other.pairs:
+        a, b = self.pairs, other.pairs
+        if not a or not b:
             return _L_ZERO
-        s = lcm(self.s, other.s)
-        a, b = _stretch(self, s, self.k), _stretch(other, s, other.k)
+        s, k = self.s, self.k * other.k
+        unit = s == other.s == k == 1
+        if not unit:
+            s = lcm(s, other.s)
+            a, b = _stretch(self, s, self.k), _stretch(other, s, other.k)
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
             (e0, c0), = a
-            return _make(s, self.k * other.k, tuple((e + e0, c * c0) for e, c in b))
-        acc: dict = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                t = acc.get(e, 0) + c1 * c2
-                if t:
-                    acc[e] = t
-                else:
-                    del acc[e]
-        return _make(s, self.k * other.k, tuple(sorted(acc.items())))
+            out = tuple([(e + e0, c * c0) for e, c in b])
+        else:
+            acc: dict = {}
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    e = e1 + e2
+                    t = acc.get(e, 0) + c1 * c2
+                    if t:
+                        acc[e] = t
+                    else:
+                        del acc[e]
+            out = tuple(sorted(acc.items()))
+        # over s = k = 1 every pair list is in normal form
+        return _raw(1, 1, out) if unit else _make(s, k, out)
 
     def __pow__(self, n: int) -> "QLaurent":
         if not isinstance(n, int) or n < 0:
@@ -191,7 +212,7 @@ class QLaurent:
 
     def bar(self) -> "QLaurent":
         """The involution q -> q^(-1): negate every exponent."""
-        return _raw(self.s, self.k, tuple((-e, c) for e, c in reversed(self.pairs)))
+        return _raw(self.s, self.k, tuple([(-e, c) for e, c in reversed(self.pairs)]))
 
     def subs_q_one(self) -> Fraction:
         """Evaluate at q = 1 (the classical specialization)."""
@@ -219,11 +240,16 @@ def _raw(s: int, k: int, pairs: Pairs) -> QLaurent:
 
 
 def _alloc(s: int, k: int, pairs: Pairs) -> QLaurent:
-    out = object.__new__(QLaurent)
-    object.__setattr__(out, "s", s)
-    object.__setattr__(out, "k", k)
-    object.__setattr__(out, "pairs", pairs)
+    out = _new(QLaurent)
+    _set_s(out, s)
+    _set_k(out, k)
+    _set_pairs(out, pairs)
     return out
+
+
+# the slot descriptors write past the immutability guard
+_new = object.__new__
+_set_s, _set_k, _set_pairs = QLaurent.s.__set__, QLaurent.k.__set__, QLaurent.pairs.__set__
 
 
 def _make(s: int, k: int, pairs: Pairs) -> QLaurent:
@@ -238,7 +264,7 @@ def _make(s: int, k: int, pairs: Pairs) -> QLaurent:
                 break
         else:
             k //= g
-            pairs = tuple((e, c // g) for e, c in pairs)
+            pairs = tuple([(e, c // g) for e, c in pairs])
     if s != 1:
         g = s
         for e, _ in pairs:
@@ -247,7 +273,7 @@ def _make(s: int, k: int, pairs: Pairs) -> QLaurent:
                 break
         else:
             s //= g
-            pairs = tuple((e // g, c) for e, c in pairs)
+            pairs = tuple([(e // g, c) for e, c in pairs])
     return _raw(s, k, pairs)
 
 
@@ -256,7 +282,7 @@ def _stretch(p: QLaurent, s: int, k: int) -> Pairs:
     ms, mk = s // p.s, k // p.k
     if ms == mk == 1:
         return p.pairs
-    return tuple((e * ms, c * mk) for e, c in p.pairs)
+    return tuple([(e * ms, c * mk) for e, c in p.pairs])
 
 
 _ONE_PAIRS = ((0, 1),)
@@ -397,8 +423,8 @@ class FieldElement:
             n, d = num, _L_ONE
         else:
             n, d = laurent_cancel(num, den)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
+        _set_num(self, n)
+        _set_den(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -421,10 +447,10 @@ class FieldElement:
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.pairs
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self.num.pairs)
 
     def is_laurent(self) -> bool:
         """True when the denominator is 1."""
@@ -440,7 +466,7 @@ class FieldElement:
         return None
 
     def __add__(self, other) -> "FieldElement":
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is None:
             return NotImplemented
         if not o.num.pairs:
@@ -469,7 +495,7 @@ class FieldElement:
         return o + (-self)
 
     def __mul__(self, other) -> "FieldElement":
-        o = self._coerce(other)
+        o = other if other.__class__ is FieldElement else self._coerce(other)
         if o is None:
             return NotImplemented
         # the unit is returned as the other factor, and a monomial is a
@@ -573,10 +599,13 @@ class FieldElement:
 
 def _field_raw(num: QLaurent, den: QLaurent) -> FieldElement:
     # caller guarantees canonical form already holds
-    out = object.__new__(FieldElement)
-    object.__setattr__(out, "num", num)
-    object.__setattr__(out, "den", den)
+    out = _new(FieldElement)
+    _set_num(out, num)
+    _set_den(out, den)
     return out
+
+
+_set_num, _set_den = FieldElement.num.__set__, FieldElement.den.__set__
 
 
 # the memo of the two slow paths; see the module doc

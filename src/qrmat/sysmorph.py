@@ -279,7 +279,7 @@ def transport(m: Module, spec: MorphismSpec,
     if not pins or any(v_is_zero(s) for s, _ in pins):
         raise ModuleConstructionError("transport wants nonzero pin sources")
     f_gens = [(m.F[i], spec.f_image(m, i)) for i in range(m.cartan.n)]
-    e_gens = [(m.E[i], spec.e_image(m, i)) for i in range(m.cartan.n)]
+    e_gens = None  # built at the first stall; highest weight pins never do
     dim = m.dim
     kept = Echelon()
     pairs: List[Tuple[Vec, Vec]] = list(pins)
@@ -303,6 +303,8 @@ def transport(m: Module, spec: MorphismSpec,
         if f_todo:
             frontier, gens, f_todo = f_todo, f_gens, []
         elif e_todo:
+            if e_gens is None:
+                e_gens = [(m.E[i], spec.e_image(m, i)) for i in range(m.cartan.n)]
             frontier, gens, e_todo = e_todo, e_gens, []
         else:
             raise ModuleConstructionError(

@@ -4,6 +4,7 @@ The independent oracle for w0/theta facts is brute-force enumeration of the
 Weyl group as matrices acting on weight coordinates.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,27 @@ def test_bilinear_symmetry_and_pairing_link(a, b):
     assert cd.bilinear(a, b) == cd.bilinear(b, a)
     for i in range(cd.n):
         assert cd.bilinear(a, cd.alpha(i)) == cd.d[i] * cd.pairing(i, a)
+
+
+def _bilinear_reference(cd: CartanDatum, wt1, wt2) -> Fraction:
+    # every coordinate as a Fraction, against the Gram matrix itself
+    return sum((F(wt1[i]) * F(wt2[j]) * cd.gram[i][j]
+                for i in range(cd.n) for j in range(cd.n)), F(0))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"])
+def test_bilinear_integer_path_matches_fractions(label):
+    cd = make_cartan(label)
+    rng = random.Random(label)
+    ints = [tuple(rng.randint(-3, 3) for _ in range(cd.n)) for _ in range(12)]
+    ints += [tuple(0 for _ in range(cd.n)), tuple(1 for _ in range(cd.n))]
+    args = ints + [cd.rho] + [cd.reflect(i, w) for i in range(cd.n) for w in ints[:3]]
+    for a in args:
+        for b in args:
+            got = cd.bilinear(a, b)
+            assert type(got) is F and got == _bilinear_reference(cd, a, b)
+    for a in ints:  # a weight and its Fraction copy pair alike
+        assert cd.bilinear(a, a) == cd.bilinear(tuple(map(F, a)), a)
 
 
 # -- validation and errors ---------------------------------------------------------

@@ -12,7 +12,9 @@ no module keys anything by object identity.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
-defines it, names it.
+defines it, names it; and no package module but qscalar names qscalar's
+private constructors, so every scalar product and sum elsewhere goes
+through the operators the benchmark counts.
 """
 
 import ast
@@ -227,6 +229,23 @@ def test_only_uqmod_names_the_isotypic_oracle():
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 if "isotypic_decomposition" in fh.read():
                     naming.append(name)
+    assert naming == []
+
+
+QSCALAR_PRIVATE = {"_raw", "_alloc", "_field_raw", "_make", "_stretch"}
+
+
+def test_only_qscalar_names_its_raw_constructors():
+    # scalars made outside qscalar go through the counted operators
+    naming = sorted(
+        f"{os.path.basename(path)}:{node.lineno}"
+        for path, tree in _trees(PACKAGE)
+        if os.path.basename(path) != "qscalar.py"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in QSCALAR_PRIVATE)
+        or (isinstance(node, ast.Attribute) and node.attr in QSCALAR_PRIVATE)
+        or (isinstance(node, ast.alias)
+            and node.name.rpartition(".")[2] in QSCALAR_PRIVATE))
     assert naming == []
 
 

@@ -260,6 +260,11 @@ def test_the_unit_is_interned(e, c, x):
         qscalar._top_scaled(mono, mono).num, qscalar._top_scaled(mono, mono).den,
         mono ** 0, (fmono ** 0).num, (fmono ** 3 * fmono ** -3).num,
         QLaurent({Fraction(0): Fraction(1)}),
+        # unit-scale (integer exponents and coefficients) sums and products
+        QLaurent({1: 1, 0: 1}) + QLaurent({1: -1}), ((Q + ONE) + (-Q)).num,
+        QLaurent({2: 1, 0: 1, -1: 3}) + QLaurent({2: -1, -1: -3}),
+        QLaurent({3: 1}) * QLaurent({-3: 1}), (Q * Q.inv()).num,
+        QLaurent({-2: -1}) * QLaurent({2: -1}),
         QLaurent([(Fraction(0), Fraction(1, 3)), (Fraction(0), Fraction(2, 3))]),
         QLaurent([(e, c), (0, 1), (e, -c)]) if e else one,
         FieldElement.from_json_obj(ONE.to_json_obj()).num,
@@ -278,6 +283,49 @@ def test_the_unit_is_interned(e, c, x):
     assert y == x and hash(y) == hash(x) and y.is_laurent() == x.is_laurent()
     for z in (x * ONE, ONE * x, x * 1, 1 * x, x + ZERO, ZERO + x):
         assert z == x and hash(z) == hash(x)
+
+
+integer_laurents = st.dictionaries(st.integers(-5, 5), st.integers(-4, 4).filter(bool),
+                                   max_size=4).map(QLaurent)
+
+
+def _reference_product(a: QLaurent, b: QLaurent) -> QLaurent:
+    # the constructor's own collection and reduction, from Fraction terms
+    return QLaurent([(e1 + e2, c1 * c2) for e1, c1 in a.terms for e2, c2 in b.terms])
+
+
+def _reference_sum(a: QLaurent, b: QLaurent) -> QLaurent:
+    return QLaurent(a.terms + b.terms)
+
+
+def _same_object_shape(x: QLaurent, y: QLaurent) -> bool:
+    # equal normal form, and the interned unit wherever 1 arises
+    return ((x.s, x.k, x.pairs) == (y.s, y.k, y.pairs)
+            and (x is QLaurent.one()) == (y is QLaurent.one()))
+
+
+@settings(max_examples=80, deadline=None, report_multiple_bugs=False)
+@given(integer_laurents, integer_laurents, laurents())
+def test_unit_scale_paths_match_the_constructor(a, b, c):
+    # a and b have s = k = 1 and take the unit-scale path; c mostly not
+    assert a.s == a.k == b.s == b.k == 1
+    for x, y in ((a, b), (b, a), (a, -a), (a, c), (c, a)):
+        assert _same_object_shape(x * y, _reference_product(x, y))
+        assert _same_object_shape(x + y, _reference_sum(x, y))
+    fa, fb = FieldElement(a), FieldElement(b)
+    assert (fa * fb).num == a * b and (fa + fb).num == a + b
+    assert (fa * fb).den is QLaurent.one() and (fa + fb).den is QLaurent.one()
+
+
+def test_scalars_stay_immutable():
+    x = FieldElement(QLaurent({1: 1, 0: 2}), QLaurent({0: 1, -1: 3}))
+    for obj, names in ((x.num, ("s", "k", "pairs", "other")),
+                       (x, ("num", "den", "other")),
+                       (QLaurent.one(), ("pairs",)), (ONE, ("num",))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    assert x.num.pairs == ((0, 2), (1, 1)) and ONE.num is QLaurent.one()
 
 
 _u = sympy.Symbol("u", positive=True)  # q = u^6 makes every exponent integral
