@@ -123,7 +123,8 @@ class CartanDatum:
                               for i in range(n))
         self.gram = gram_rows
         self.D = self._root_order() if self.finite else None
-        # D * gram is integral, so integer weights pair in integers
+        # D * gram is integral (D is twice the lcm of its denominators), so
+        # a pairing is one Fraction over D
         self._dgram = tuple(tuple(int(self.D * x) for x in row)
                             for row in gram_rows) if self.finite else None
         self.rho = tuple(Fraction(1) for _ in range(n))
@@ -276,17 +277,8 @@ class CartanDatum:
         """Symmetric form (wt1, wt2) from the fundamental-weight Gram matrix."""
         if not self.finite:
             raise CartanError("bilinear form needs an invertible realization")
-        if all(type(x) is int for x in wt1) and all(type(x) is int for x in wt2):
-            return Fraction(sum(x * y * g for x, row in zip(wt1, self._dgram) if x
-                                for y, g in zip(wt2, row) if y), self.D)
-        out = Fraction(0)
-        for i in range(self.n):
-            xi = Fraction(wt1[i])
-            if xi:
-                for j in range(self.n):
-                    if wt2[j]:
-                        out += xi * Fraction(wt2[j]) * self.gram[i][j]
-        return out
+        return Fraction(sum(x * y * g for x, row in zip(wt1, self._dgram) if x
+                            for y, g in zip(wt2, row) if y), self.D)
 
     def reflect(self, i: int, wt: Sequence) -> WeightT:
         """Simple reflection s_i(wt) = wt - <H_i, wt> alpha_i."""

@@ -141,8 +141,9 @@ class QLaurent:
             return other
         if not other.pairs:
             return self
-        unit = self.s == other.s == self.k == other.k == 1
-        if unit:
+        if self.s == other.s == self.k == other.k == 1:
+            # unit scale: the pairs need no rescaling
+            s = k = 1
             acc, b = dict(self.pairs), other.pairs
         else:
             s, k = lcm(self.s, other.s), lcm(self.k, other.k)
@@ -153,8 +154,6 @@ class QLaurent:
                 acc[e] = t
             else:
                 del acc[e]
-        if unit:  # over s = k = 1 every pair list is in normal form
-            return _raw(1, 1, tuple(sorted(acc.items()))) if acc else _L_ZERO
         return _make(s, k, tuple(sorted(acc.items())))
 
     def __neg__(self) -> "QLaurent":
@@ -176,8 +175,7 @@ class QLaurent:
         if not a or not b:
             return _L_ZERO
         s, k = self.s, self.k * other.k
-        unit = s == other.s == k == 1
-        if not unit:
+        if not s == other.s == k == 1:  # unit scale needs no rescaling
             s = lcm(s, other.s)
             a, b = _stretch(self, s, self.k), _stretch(other, s, other.k)
         if len(b) == 1:
@@ -196,8 +194,7 @@ class QLaurent:
                     else:
                         del acc[e]
             out = tuple(sorted(acc.items()))
-        # over s = k = 1 every pair list is in normal form
-        return _raw(1, 1, out) if unit else _make(s, k, out)
+        return _make(s, k, out)
 
     def __pow__(self, n: int) -> "QLaurent":
         if not isinstance(n, int) or n < 0:

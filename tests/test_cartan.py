@@ -170,7 +170,7 @@ def _bilinear_reference(cd: CartanDatum, wt1, wt2) -> Fraction:
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2"])
-def test_bilinear_integer_path_matches_fractions(label):
+def test_bilinear_matches_fraction_reference(label):
     cd = make_cartan(label)
     rng = random.Random(label)
     ints = [tuple(rng.randint(-3, 3) for _ in range(cd.n)) for _ in range(12)]
