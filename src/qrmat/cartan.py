@@ -219,10 +219,11 @@ class CartanDatum:
                 raise CartanError("w0 does not negate the simple roots")
             theta.append(match)
         self._theta = tuple(theta)
-        assert sorted(self._theta) == list(range(self.n))
-        assert all(self._theta[self._theta[i]] == i for i in range(self.n))
-        assert all(self.A[self._theta[i]][self._theta[j]] == self.A[i][j]
-                   for i in range(self.n) for j in range(self.n))
+        if sorted(theta) != list(range(self.n)) or any(
+                theta[theta[i]] != i
+                or self.A[theta[i]][theta[j]] != self.A[i][j]
+                for i in range(self.n) for j in range(self.n)):
+            raise CartanError("-w0 is not an involutive diagram automorphism")
 
     def _identity(self):
         return tuple(tuple(Fraction(int(i == j)) for j in range(self.n))
@@ -256,7 +257,8 @@ class CartanDatum:
                     break
             else:
                 raise CartanError("descent stuck; datum not finite type")
-        assert u_inv == self._identity()
+        if u_inv != self._identity():
+            raise CartanError("the word found does not multiply to w0")
         return tuple(word)
 
     @staticmethod

@@ -276,6 +276,11 @@ def cmd_verify(args) -> int:
     if args.max_hw < 1:
         raise CliError(f"--max-hw must be at least 1, got {args.max_hw}")
     cd = _cartan_of(args.type)
+    if args.suite == "hexagon" and args.hw:
+        raise CliError("--suite hexagon reads --triple, not --hw")
+    if args.triple and args.suite not in ("hexagon", "all"):
+        raise CliError(f"--triple is read only by --suite hexagon, not "
+                       f"{args.suite!r}")
     fault = args.inject_fault
     if args.suite == "all":
         if fault is not None:
@@ -370,14 +375,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "quantized enveloping algebra modules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, golden=True):
         p.add_argument("--type", required=True, choices=CARTAN_TYPES)
         p.add_argument("--hw", action="append", default=[],
                        help="dominant weight as comma-separated fundamental "
                             "coordinates; repeatable")
-        p.add_argument("--out", help="output file (or directory for verify)")
-        p.add_argument("--golden",
-                       help="golden file: write if missing, else compare")
+        if not golden:
+            p.add_argument("--out", help="directory for one report per check")
+            return
+        dest = p.add_mutually_exclusive_group()
+        dest.add_argument("--out", help="output file")
+        dest.add_argument("--golden",
+                          help="golden file: write if missing, else compare")
 
     p = sub.add_parser("compute-r", help="compute an R-matrix")
     common(p)
@@ -385,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    common(p, golden=False)
     p.add_argument("--suite", default="all", choices=SUITES + ("all",))
     p.add_argument("--max-hw", type=int, default=1, dest="max_hw",
                    help="enumerate dominant weights with coordinate sum up "

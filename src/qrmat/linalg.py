@@ -1,11 +1,14 @@
 """Sparse exact linear algebra over FieldElement.
 
 Vectors are dicts index -> FieldElement with no stored zeros. Matrices keep
-sparse rows. Every solver runs on one sparse-row Gauss-Jordan core, `rref`,
-whose reduced row echelon form is unique: rank, kernel, solutions and
-inverses do not depend on the pivot order. `Echelon` is its incremental
-form, for selecting independent vectors in order. A caller that reuses a
-matrix keeps its factorization (its inverse) rather than solving again.
+sparse rows. `Echelon` is the one Gauss-Jordan loop: it reduces each
+vector, in the caller's order, against the rows kept so far. `rref` is its
+batch form, behind rank, kernel, solve and inverse. The reduced row
+echelon form is unique, so no answer depends on the row order, but the
+cost does: callers pass rows in their natural order (r_oracle's sorted
+equations solve 15 to 100 times faster than shuffles of them). A caller that
+reuses a matrix keeps its factorization (its inverse) rather than solving
+again.
 
 Scalars have one canonical form and no zeros are stored, so equality of
 vectors and matrices is structural and subtracts nothing; subtraction only
@@ -246,11 +249,6 @@ class SparseMatrix:
 
 # -- sparse Gauss-Jordan core --------------------------------------------------
 
-def _entry_cost(x: FieldElement) -> int:
-    # pivot preference: fewer terms means less fill-in and smaller GCDs
-    return len(x.num.pairs) + 2 * (len(x.den.pairs) - 1)
-
-
 def _eliminate(row: Vec, f: FieldElement, prow: Vec) -> None:
     """row -= f * prow in place, dropping the zeros it makes."""
     # f * b, not (-f) * b: the products elsewhere share f * b's memo key,
@@ -264,38 +262,65 @@ def _eliminate(row: Vec, f: FieldElement, prow: Vec) -> None:
             row.pop(j, None)
 
 
+class Echelon:
+    """Incremental Gauss-Jordan, the one elimination loop of the package.
+
+    Each kept row is 1 at its pivot (stored without that entry) and 0 at
+    every other kept pivot, so reducing a vector against the kept rows is
+    order-free and, once the pivots are the columns of a nonsingular block,
+    the kept rows are that block's inverse times the rows it was given.
+    """
+
+    def __init__(self):
+        self.rows: Dict[int, Vec] = {}
+
+    def reduce(self, v: Vec) -> Vec:
+        out = dict(v)
+        for p in [p for p in v if p in self.rows]:
+            _eliminate(out, out.pop(p), self.rows[p])
+        return out
+
+    def add(self, r: Vec, pivot: Optional[int] = None) -> bool:
+        """Keep r, a vector its caller has reduced, if it is nonzero (at
+        pivot, when one is given)."""
+        if pivot is None:
+            if not r:
+                return False
+            pivot = min(r)
+        elif pivot not in r:
+            return False
+        inv = r[pivot].inv()
+        r = {j: x * inv for j, x in r.items() if j != pivot}
+        for row in self.rows.values():
+            f = row.pop(pivot, None)
+            if f is not None:
+                _eliminate(row, f, r)
+        self.rows[pivot] = r
+        return True
+
+
 def rref(rows: Iterable[Vec], ncols: int) -> Tuple[Dict[int, Vec], List[Vec]]:
     """Reduced row echelon form of sparse rows; pivots only below ncols.
 
     Columns from ncols on (right-hand sides, an identity block) are carried
-    along.  Returns the pivot rows by ascending pivot column, each 1 at its
-    pivot and 0 at every other pivot, and the rows left with no entry below
-    ncols.  The form is unique, so the choice of pivot row (fewest terms
-    first) changes no result.
+    along.  Each row is reduced in the caller's order and kept at its first
+    surviving column below ncols, or set aside as a rest row if none
+    survives.  Returns the pivot rows by ascending pivot, each 1 at its
+    pivot and 0 at every other, and the nonzero rest rows.  Each pivot is
+    the first column of a vector in the row space, so the pivots and the
+    pivot rows below ncols are the unique echelon form; their carried
+    entries are unique wherever the rest rows vanish, which is all a
+    consistent solve reads.
     """
-    todo = [dict(r) for r in rows if r]
-    pivots: Dict[int, Vec] = {}
-    for col in range(ncols):
-        best, best_cost = -1, 0
-        for k, r in enumerate(todo):
-            x = r.get(col)
-            if x is not None:
-                c = _entry_cost(x)
-                if best < 0 or c < best_cost:
-                    best, best_cost = k, c
-        if best < 0:
-            continue
-        prow = todo.pop(best)
-        inv = prow.pop(col).inv()
-        prow = {j: x * inv for j, x in prow.items()}
-        for r in todo + list(pivots.values()):
-            f = r.pop(col, None)
-            if f is not None:
-                _eliminate(r, f, prow)
-        prow[col] = ONE
-        pivots[col] = prow
-        todo = [r for r in todo if r]
-    return pivots, todo
+    kept, rest = Echelon(), []
+    for row in rows:
+        r = kept.reduce(row)
+        lead = min(r, default=ncols)
+        if lead < ncols:
+            kept.add(r, lead)
+        elif r:
+            rest.append(r)
+    return {p: {**kept.rows[p], p: ONE} for p in sorted(kept.rows)}, rest
 
 
 def _rows(a: SparseMatrix) -> List[Vec]:
@@ -351,39 +376,3 @@ def inverse(a: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(n, n, {i: {j - n: x for j, x in row.items() if j >= n}
                                for i, row in pivots.items()})
 
-
-class Echelon:
-    """Incremental Gauss-Jordan for in-order greedy selection.
-
-    Each kept row is 1 at its pivot (stored without that entry) and 0 at
-    every other kept pivot, so reducing a vector against the kept rows is
-    order-free and, once the pivots are the columns of a nonsingular block,
-    the kept rows are that block's inverse times the rows it was given.
-    """
-
-    def __init__(self):
-        self.rows: Dict[int, Vec] = {}
-
-    def reduce(self, v: Vec) -> Vec:
-        out = dict(v)
-        for p in [p for p in v if p in self.rows]:
-            _eliminate(out, out.pop(p), self.rows[p])
-        return out
-
-    def add(self, v: Vec, pivot: Optional[int] = None) -> bool:
-        """Keep v if it survives reduction (at pivot, when one is given)."""
-        r = self.reduce(v)
-        if pivot is None:
-            if not r:
-                return False
-            pivot = min(r)
-        elif pivot not in r:
-            return False
-        inv = r.pop(pivot).inv()
-        r = {j: x * inv for j, x in r.items()}
-        for row in self.rows.values():
-            f = row.pop(pivot, None)
-            if f is not None:
-                _eliminate(row, f, r)
-        self.rows[pivot] = r
-        return True

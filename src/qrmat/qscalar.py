@@ -676,5 +676,6 @@ def q_binom(a: int, b: int, d: int = 1) -> FieldElement:
     if b < 0 or b > a:
         return ZERO
     out = q_factorial(a, d) / (q_factorial(b, d) * q_factorial(a - b, d))
-    assert out.is_laurent()  # the quotient of factorials divides exactly
+    if not out.is_laurent():  # the quotient of factorials divides exactly
+        raise ArithmeticError(f"[{a} choose {b}] is not a Laurent polynomial")
     return out

@@ -430,6 +430,11 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
         for r, c, x in rhs_mat.to_triplets():
             rhs[(gnum, r, c)] = x
             rows.setdefault((gnum, r, c), {})
+    # the answer does not depend on the equation order, but the cost does:
+    # rref pivots each equation on its first surviving unknown as it
+    # arrives, and in sorted order (generator, row, column) G2
+    # V(1,0) (x) V(1,0) solves in 0.2-0.4 s where three shuffles of the
+    # same equations took 5, 9 and 34 s
     system = [( {k: v for k, v in rows[key].items() if not v.is_zero()},
                 rhs.get(key, ZERO)) for key in sorted(rows)]
     x = _unique_solution(system, len(unknowns))

@@ -247,8 +247,9 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int]) -> Module:
             # nonzero, which is c's own entry of its row reduced against the
             # survivor rows
             block = Echelon()
-            selected = [c for c in range(m) if block.add(
-                {b: x for b, x in enumerate(g[c]) if not x.is_zero()}, pivot=c)]
+            selected = [c for c in range(m) if block.add(block.reduce(
+                {b: x for b, x in enumerate(g[c]) if not x.is_zero()}),
+                pivot=c)]
             # register survivors as new basis vectors
             new_ids: Dict[int, int] = {}
             for c_idx in selected:

@@ -4,6 +4,8 @@ import contextlib
 import gc
 import io
 import json
+import os
+import sys
 import tracemalloc
 
 import pytest
@@ -14,6 +16,9 @@ from qrmat.qscalar import FieldElement
 from qrmat.rmatrix import RMatrixResult
 from qrmat.sysmorph import TransportedMap
 from qrmat.uqmod import InternalConsistencyError
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "perfbench")
 
 
 def run(capsys, *argv):
@@ -242,6 +247,43 @@ def test_verify_fault_unsupported_for_suite(capsys):
     assert "not supported" in stderr
 
 
+def test_verify_has_no_golden_flag(tmp_path, capsys):
+    # verify writes reports with --out; a --golden it never read used to
+    # exit 0 and write nothing
+    golden = tmp_path / "g.json"
+    code, stdout, stderr = run(
+        capsys, "verify", "--suite", "module-relations", "--type", "A1",
+        "--hw", "1", "--golden", str(golden))
+    assert code == 2 and stdout == ""
+    assert "--golden" in stderr and not golden.exists()
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("--suite", "hexagon", "--hw", "3"), "--hw"),
+    (("--suite", "ybe", "--triple", "1", "1", "1"), "--triple"),
+    (("--suite", "method-agreement", "--triple", "1", "1", "1"), "--triple"),
+])
+def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, argv, flag):
+    # each used to run the suite's default weights and exit 0
+    code, stdout, stderr = run(capsys, "verify", "--type", "A1", *argv)
+    assert code == 2 and stdout == ""
+    assert flag in stderr
+
+
+def test_every_benchmark_verify_request_passes_the_flag_checks(
+        capsys, monkeypatch):
+    sys.path.insert(0, BENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(BENCH)
+    monkeypatch.setattr(cli, "_run_suite", lambda *args: [])
+    argvs = {req.args for req in workloads.make_deck("verify_mixed", 1, 0)}
+    assert len(argvs) > 10
+    for argv in sorted(argvs):
+        assert run(capsys, *argv) == (0, "", ""), argv
+
+
 def test_verify_internal_error_exits_3_with_verbatim_message(
         capsys, monkeypatch):
     def boom(*a, **k):
@@ -318,6 +360,21 @@ def test_canonical_basis_golden_roundtrip(tmp_path, capsys):
     assert code == 0 and stdout.startswith("golden match")
     obj = json.loads(golden.read_text())
     assert len(obj["elements"]) == 3
+
+
+@pytest.mark.parametrize("command", [
+    ("canonical-basis", "--hw", "1"),
+    ("compute-r", "--hw", "1", "--hw", "1"),
+])
+def test_out_and_golden_exclude_each_other(tmp_path, capsys, command):
+    # --golden used to win and --out was dropped without a word
+    out, golden = tmp_path / "o.json", tmp_path / "g.json"
+    code, stdout, stderr = run(capsys, command[0], "--type", "A1",
+                               *command[1:], "--out", str(out),
+                               "--golden", str(golden))
+    assert code == 2 and stdout == ""
+    assert "--golden: not allowed with argument --out" in stderr
+    assert not out.exists() and not golden.exists()
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -8,7 +8,8 @@ or is listed below with its reason; every attribute a package class stores
 on self is read as an attribute somewhere in the package, or is listed
 below with its reason; every module-level name bound to an empty
 container is process-wide state and is listed below with its reason; and
-no module keys anything by object identity.  A
+no module keys anything by object identity or holds an assert statement,
+which python -O would strip from its self-checks.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
@@ -220,6 +221,14 @@ def test_package_never_calls_id():
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "id"]
     assert calls == []
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips asserts, so a self-check must raise explicitly
+    found = [f"{os.path.basename(path)}:{node.lineno}"
+             for path, tree in _trees(PACKAGE)
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_only_uqmod_names_the_isotypic_oracle():

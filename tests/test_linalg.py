@@ -157,14 +157,48 @@ def matrices(draw, square=False):
     return SparseMatrix(n, m, rows)
 
 
+def _outside(row, cols):
+    return {j: x for j, x in row.items() if x and j not in cols}
+
+
+@st.composite
+def carried_columns(draw, a):
+    """Columns to carry beside a: arbitrary ones, and right-hand sides a x
+    that the rest rows cannot reach."""
+    cols = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            col = a.apply({j: draw(scalars) for j in range(a.ncols)})
+        else:
+            col = {i: draw(scalars) for i in range(a.nrows)}
+        cols.append({i: x for i, x in col.items() if x})
+    return cols
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.data())
 def test_core_matches_dense_rref(a, data):
-    dense, dpiv = dense_rref(a, a.ncols)
-    pivots, rest = rref([a.rows.get(i, {}) for i in range(a.nrows)], a.ncols)
-    assert list(pivots) == dpiv and rank(a) == len(dpiv) and not rest
-    for r, col in enumerate(dpiv):
-        assert pivots[col] == {j: x for j, x in enumerate(dense[r]) if x}
+    # pivots only below a.ncols, the carried columns reduced along; two
+    # admissible answers differ by a combination of rest rows, so the pivot
+    # rows are compared off the columns the rest rows reach
+    n = a.ncols
+    cols = data.draw(carried_columns(a))
+    aug = SparseMatrix(a.nrows, n + len(cols), {
+        i: {**a.rows.get(i, {}),
+            **{n + t: col[i] for t, col in enumerate(cols) if i in col}}
+        for i in range(a.nrows)})
+    dense, dpiv = dense_rref(aug, n)
+    want_rest = {j for row in dense[len(dpiv):] for j, x in enumerate(row)
+                 if x}
+    rows = [aug.rows.get(i, {}) for i in range(a.nrows)]
+    for order in (rows, data.draw(st.permutations(rows))):
+        pivots, rest = rref(order, n)
+        assert list(pivots) == dpiv and all(rest)
+        assert {j for row in rest for j in row} == want_rest
+        for r, col in enumerate(dpiv):
+            assert _outside(pivots[col], want_rest) == \
+                _outside(dict(enumerate(dense[r])), want_rest)
+    assert rank(a) == len(dpiv)
     ker = kernel(a)
     assert rank(a) + len(ker) == a.ncols
     for k in ker:
@@ -195,8 +229,9 @@ def test_inverse_inverts_or_flags_singular(a):
 
 def test_echelon_keeps_the_first_independent_vectors():
     e = Echelon()
-    assert e.add({0: ONE, 1: Q}) and not e.add({0: Q, 1: Q * Q})
-    assert e.add({1: ONE})
+    assert e.add(e.reduce({0: ONE, 1: Q}))
+    assert not e.add(e.reduce({0: Q, 1: Q * Q}))
+    assert e.add(e.reduce({1: ONE}))
     assert len(e.rows) == 2 and not e.reduce({0: Q, 1: ONE})
 
 
@@ -211,7 +246,7 @@ def test_schur_selection_matches_the_principal_rank_test(g):
             kept.append(c)
     block = Echelon()
     assert [c for c in range(g.nrows)
-            if block.add(g.rows.get(c, {}), pivot=c)] == kept
+            if block.add(block.reduce(g.rows.get(c, {})), pivot=c)] == kept
     # the kept rows then hold G_S^-1 times each column of g
     for c in range(g.nrows):
         if c not in kept and kept:

@@ -29,8 +29,9 @@ from qrmat.uqmod import (InternalConsistencyError, kron_vec,
 A1 = make_cartan("A1")
 A2 = make_cartan("A2")
 B2 = make_cartan("B2")
+G2 = make_cartan("G2")
 
-CARTANS = {"A1": A1, "A2": A2, "B2": B2}
+CARTANS = {"A1": A1, "A2": A2, "B2": B2, "G2": G2}
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 _memo = {}
@@ -198,12 +199,20 @@ def test_r_a1_square_diagonal_and_single_off_diagonal():
     ("A1", (3,), (2,)),
     ("A2", (1, 0), (0, 1)),
     ("B2", (0, 1), (0, 1)),
+    ("G2", (0, 1), (0, 1)),
+    ("G2", (1, 0), (0, 1)),
 ])
 def test_three_methods_agree_entrywise(label, lam, mu):
     bl, br = based_of(label, lam), based_of(label, mu)
     rt = r_theta(bl, br)
     assert rt.matrix == r_krls(bl, br).matrix
     assert rt.matrix == r_oracle(bl, br).matrix
+
+
+def test_g2_adjoint_square_oracle_matches_krls():
+    # 602 unknowns in one sparse solve
+    b = based_of("G2", (1, 0))
+    assert r_krls(b, b).matrix == r_oracle(b, b).matrix
 
 
 def test_r_matrix_dispatch_and_unknown_method():
