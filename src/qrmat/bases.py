@@ -25,7 +25,7 @@ from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
                      v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
-                    kron_vec, make_irreducible, tensor)
+                    derived, kron_vec, make_irreducible, tensor)
 
 ResidueT = Tuple[Fraction, ...]
 WeightT = Tuple[int, ...]
@@ -84,7 +84,7 @@ class Frame:
                 f"dimension {len(self.rows)}")
         self.mat = SparseMatrix.from_columns(
             [self._local(v) for v in self.basis], len(self.rows))
-        self._inv: Optional[SparseMatrix] = None
+        self._derived: dict = {}
 
     def _local(self, v: Vec) -> Vec:
         out = {}
@@ -95,14 +95,16 @@ class Frame:
             out[self.pos[r]] = x
         return out
 
+    @derived
+    def _inverse(self) -> SparseMatrix:
+        try:
+            return inverse(self.mat)
+        except ValueError:
+            raise InternalConsistencyError(
+                "lattice frame vectors are linearly dependent") from None
+
     def coords(self, v: Vec) -> List[FieldElement]:
-        if self._inv is None:
-            try:
-                self._inv = inverse(self.mat)
-            except ValueError:
-                raise InternalConsistencyError(
-                    "lattice frame vectors are linearly dependent") from None
-        sol = self._inv.apply(self._local(v))
+        sol = self._inverse().apply(self._local(v))
         return [sol.get(t, ZERO) for t in range(len(self.basis))]
 
     def in_lattice(self, coords: Sequence[FieldElement]) -> bool:
@@ -127,6 +129,7 @@ class Frame:
 StringFrames = Dict[WeightT, Tuple[List[Tuple[int, int]], SparseMatrix]]
 
 
+@derived
 def string_chains(m: Module, i: int
                   ) -> Tuple[List[List[Vec]], StringFrames]:
     """i-string decomposition of m: chains [u, F_i^(1) u, ..., F_i^(mstr) u]
@@ -137,10 +140,6 @@ def string_chains(m: Module, i: int
     The chain through a head of weight wt must have length <H_i, wt> + 1
     exactly; anything else means the module is not integrable and raises.
     """
-    cache = m._bases_cache
-    key = ("chains", i)
-    if key in cache:
-        return cache[key]
     chains: List[List[Vec]] = []
     for wt in sorted(m.weight_multiplicities()):
         up = m.weight_plus_alpha(wt, i, +1)
@@ -183,7 +182,6 @@ def string_chains(m: Module, i: int
         except ValueError:
             raise InternalConsistencyError(
                 f"string vectors do not span weight space {wt}") from None
-    cache[key] = chains, frames
     return chains, frames
 
 
@@ -210,27 +208,21 @@ def operator_from_strings(m: Module, i: int, image_fn) -> SparseMatrix:
     return SparseMatrix.from_columns(cols, m.dim)
 
 
+@derived
 def kashiwara_operators(m: Module, i: int) -> Tuple[SparseMatrix, SparseMatrix]:
     """Matrices (Etilde, Ftilde) of the Kashiwara operators on all of m.
 
     On an i-string, Ftilde steps down one divided power and Etilde steps up
     one.
     """
-    cache = m._bases_cache
-    key = ("kashiwara", i)
-    if key in cache:
-        return cache[key]
-
     def f_image(chain, n):
         return chain[n + 1] if n + 1 < len(chain) else {}
 
     def e_image(chain, n):
         return chain[n - 1] if n > 0 else {}
 
-    out = (operator_from_strings(m, i, e_image),
-           operator_from_strings(m, i, f_image))
-    cache[key] = out
-    return out
+    return (operator_from_strings(m, i, e_image),
+            operator_from_strings(m, i, f_image))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,6 @@ class CrystalGraph:
     def __init__(self, cartan: CartanDatum, weights: Sequence[WeightT],
                  f_edges: Dict[Tuple[int, int], int],
                  module: Optional[Module] = None,
-                 words: Optional[Sequence[Tuple[int, ...]]] = None,
                  reps: Optional[Sequence[Vec]] = None,
                  frames: Optional[Dict[WeightT, Frame]] = None,
                  residues: Optional[Sequence[ResidueT]] = None,
@@ -264,7 +255,6 @@ class CrystalGraph:
                     f"two f_{i + 1} edges end at vertex {w}")
             self.e_edges[(w, i)] = v
         self.module = module
-        self.words = list(words) if words is not None else None
         self.reps = list(reps) if reps is not None else None
         self.frames = frames
         self.residues = list(residues) if residues is not None else None
@@ -373,9 +363,8 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
     """
     if m.hw_index is None and hw_vec is None:
         raise ModuleConstructionError("crystal wants a highest weight vector")
-    cache = m._bases_cache
-    if hw_vec is None and "crystal" in cache:
-        return cache["crystal"]
+    if hw_vec is None and "crystal" in m._derived:
+        return m._derived["crystal"]
     v0 = v_clean(dict(hw_vec)) if hw_vec is not None else m.hw_vector()
     if v_is_zero(v0):
         raise ModuleConstructionError("highest weight vector is zero")
@@ -388,7 +377,6 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
     ops = [kashiwara_operators(m, i) for i in range(m.cartan.n)]
 
     weights: List[WeightT] = [lam]
-    words: List[Tuple[int, ...]] = [()]
     reps: List[Vec] = [v0]
     frames: Dict[WeightT, Frame] = {lam: Frame(m.weight_space(lam), [v0])}
     residues: List[ResidueT] = [frames[lam].residue(frames[lam].coords(v0))]
@@ -425,7 +413,6 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
                     tgt = len(weights)
                     vertex_at[key] = tgt
                     weights.append(wt)
-                    words.append(words[v] + (i,))
                     reps.append(vec)
                     residues.append(res)
                     nxt.append(tgt)
@@ -463,13 +450,13 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
                     f"Etilde_{i + 1} residue at vertex {v} disagrees with "
                     f"the crystal edge")
 
-    graph = CrystalGraph(m.cartan, weights, f_edges, module=m, words=words,
-                         reps=reps, frames=frames, residues=residues)
+    graph = CrystalGraph(m.cartan, weights, f_edges, module=m, reps=reps,
+                         frames=frames, residues=residues)
     if len(graph.highest()) != 1 or graph.highest()[0] != 0:
         raise InternalConsistencyError(
             "irreducible crystal must have exactly the seed as highest vertex")
     if hw_vec is None:
-        cache["crystal"] = graph
+        m._derived["crystal"] = graph
     return graph
 
 
@@ -672,9 +659,8 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
     returned, so a bug upstream surfaces as an error here, not as a wrong
     basis.
     """
-    cache = m._bases_cache
-    if hw_vec is None and "global" in cache:
-        return cache["global"]
+    if hw_vec is None and "global" in m._derived:
+        return m._derived["global"]
 
     for i in range(m.cartan.n):
         for mat in (m.E[i], m.F[i]):
@@ -714,7 +700,7 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
     gb = GlobalBasis(m, crystal, elements, seed, bar_scalar, words)
     verify_global_basis(gb)
     if hw_vec is None:
-        cache["global"] = gb
+        m._derived["global"] = gb
     return gb
 
 

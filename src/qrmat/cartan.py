@@ -131,10 +131,9 @@ class CartanDatum:
         self._w0_word: Optional[Tuple[int, ...]] = None
         self._theta: Optional[Tuple[int, ...]] = None
         self._w0_matrix: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
-        # V_lambda of this datum by highest weight: uqmod.make_irreducible
-        # builds each one once and keeps it here, so modules, crystals and
-        # global bases live exactly as long as the datum
-        self._irreducibles: dict = {}
+        # what is built from this datum (its V_lambda, see uqmod.derived),
+        # so modules, crystals and global bases live exactly as long as it
+        self._derived: dict = {}
         if self.finite:
             self._compute_longest_element()
 
@@ -191,7 +190,15 @@ class CartanDatum:
         return 2 * lcm(*denoms)
 
     def _compute_longest_element(self) -> None:
-        # descend rho to -rho, recording applied reflections
+        # Descend rho to -rho, reflecting at the smallest node with a
+        # positive coordinate.  After the prefix P = s_(applied[0]) ..
+        # s_(applied[-1]) the vector is P^-1 rho, whose i-th coordinate is
+        # positive iff P(alpha_i) is a positive root iff l(P s_i) > l(P).
+        # So each step lengthens P by one, the descent ends exactly when
+        # P = w0, and every step takes the smallest i that a reduced word of
+        # w0 can continue P with: as l(y w0) = N - l(y), any y with
+        # l(y s_i) > l(y) is a prefix of some reduced word of w0.  applied
+        # is therefore the lexicographically least reduced word of w0.
         v = self.rho
         applied: List[int] = []
         while True:
@@ -209,7 +216,7 @@ class CartanDatum:
         for i in applied:
             mat = self._left_reflect(i, mat)
         self._w0_matrix = mat
-        self._w0_word = self._lex_least_word(mat, len(applied))
+        self._w0_word = tuple(applied)
         theta = []
         for j in range(self.n):
             img = self.apply_w0(self.alpha(j))
@@ -233,33 +240,6 @@ class CartanDatum:
         """Matrix of s_i compose mat (columns of mat reflected by s_i)."""
         new_cols = [self.reflect(i, col) for col in zip(*mat)]
         return tuple(tuple(row) for row in zip(*new_cols))
-
-    def _right_reflect(self, i: int, mat):
-        """Matrix of mat compose s_i (column i becomes col_i - mat(alpha_i))."""
-        cols = [list(c) for c in zip(*mat)]
-        img = self._apply_matrix(mat, self.alpha(i))
-        cols[i] = [cols[i][k] - img[k] for k in range(self.n)]
-        return tuple(tuple(row) for row in zip(*cols))
-
-    def _lex_least_word(self, w0_mat, length: int) -> Tuple[int, ...]:
-        # greedy: repeatedly strip the smallest s_i with l(s_i u) < l(u),
-        # detected by u^{-1}(alpha_i) being a negative root
-        u_inv = tuple(tuple(row) for row in _frac_matrix_inverse([list(r) for r in w0_mat]))
-        word: List[int] = []
-        for _ in range(length):
-            for i in range(self.n):
-                pre = self._apply_matrix(u_inv, self.alpha(i))
-                coeffs = self.root_coefficients(pre)
-                if all(c <= 0 for c in coeffs):
-                    word.append(i)
-                    # u := s_i u, hence u^{-1} := u^{-1} s_i
-                    u_inv = self._right_reflect(i, u_inv)
-                    break
-            else:
-                raise CartanError("descent stuck; datum not finite type")
-        if u_inv != self._identity():
-            raise CartanError("the word found does not multiply to w0")
-        return tuple(word)
 
     @staticmethod
     def _apply_matrix(mat, wt) -> WeightT:

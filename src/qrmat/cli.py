@@ -2,8 +2,9 @@
 export crystal graphs and canonical bases, and manage golden files.
 
 Exit codes: 0 success, 1 failing check or golden mismatch, 2 usage or
-configuration error, 3 internal consistency error (message verbatim on
-stderr).  All emitted files and stdout reports are byte-deterministic.
+configuration error, an output path that cannot be written included, 3
+internal consistency error (message verbatim on stderr).  All emitted
+files and stdout reports are byte-deterministic.
 """
 
 import argparse
@@ -430,10 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except ModuleConstructionError as exc:
+    except (CliError, ModuleConstructionError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(str(exc), file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

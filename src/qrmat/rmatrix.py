@@ -26,16 +26,17 @@ injector reads its summands, and the isotypic decomposition in uqmod is
 left to the tests as an independent oracle.
 
 Every built object has one owner and lives as long as it does.  The
-Cartan datum owns each V_nu (uqmod.make_irreducible), and a module owns
-its crystal, global basis, weight splits and its tensor products with
-right factors.  A summand of a based tensor product reads its V_nu and
-that module's global basis on first use (BasedComponent.ref, ref_gb), so
-r_theta, which reads neither, builds and verifies neither.  A based
-module owns the maps of every system transported on it (system_on, keyed
-by the system's name: Theta, Gamma, bar) and, weakly keyed by the right
-factor, its based tensor products; a based tensor product owns its
-braiding.  Nothing is keyed by object identity at module level, so
-objects a caller drops are freed.
+Cartan datum owns each V_nu, and a module its crystal, global basis,
+weight splits and tensor products with right factors, all in the owner's
+one store (uqmod.derived).  A summand of a based tensor product reads its
+V_nu and that module's global basis on first use (BasedComponent.ref,
+ref_gb), so r_theta, which reads neither, builds and verifies neither.
+A based module owns the maps of every system transported on it
+(system_on, keyed by the system's name: Theta, Gamma, bar) and, weakly
+keyed by the right factor so that each dies with either factor, its
+based tensor products; a based tensor product owns its braiding.
+Nothing is keyed by object identity at module level, so objects a caller
+drops are freed.
 """
 
 import json

@@ -32,7 +32,7 @@ from .linalg import (Echelon, SparseMatrix, Vec, inverse, v_bar, v_clean,
                      v_eq, v_is_zero, v_scale)
 from .qscalar import FieldElement
 from .uqmod import (InternalConsistencyError, Module,
-                    ModuleConstructionError, make_irreducible)
+                    ModuleConstructionError, derived, make_irreducible)
 
 ImageFn = Callable[[Module, int], SparseMatrix]
 # value of the system on a based summand's highest weight pin; the summand
@@ -176,7 +176,7 @@ class TransportedMap:
         self.matrix = matrix
         self.bar_linear = bar_linear
         self.provenance = provenance
-        self._inverse: Optional["TransportedMap"] = None
+        self._derived: dict = {}
 
     def apply(self, v: Vec) -> Vec:
         return v_clean(self.matrix.apply(v_bar(v) if self.bar_linear else v))
@@ -192,15 +192,14 @@ class TransportedMap:
             self.bar_linear != other.bar_linear,
             f"({self.provenance} o {other.provenance})")
 
+    @derived
     def inverse(self) -> "TransportedMap":
-        if self._inverse is None:
-            inv = inverse(self.matrix)
-            if self.bar_linear:
-                # y = A bar(x)  =>  x = bar(A)^-1-bar applied to y
-                inv = inv.bar_entries()
-            self._inverse = TransportedMap(self.module, inv, self.bar_linear,
-                                           f"({self.provenance})^-1")
-        return self._inverse
+        inv = inverse(self.matrix)
+        if self.bar_linear:
+            # y = A bar(x)  =>  x = bar(A)^-1-bar applied to y
+            inv = inv.bar_entries()
+        return TransportedMap(self.module, inv, self.bar_linear,
+                              f"({self.provenance})^-1")
 
     def is_identity(self) -> bool:
         return not self.bar_linear and self.matrix.is_identity()
@@ -382,6 +381,7 @@ def _braid_coefficient(d: int, mstr: int, n: int) -> FieldElement:
     return FieldElement.q_power(Fraction(d * (mstr - n) * (n + 1)), sign)
 
 
+@derived
 def braid_operator(m: Module, i: int) -> SparseMatrix:
     """T_i: reverses every i-string with signed q_i-power coefficients.
 
@@ -390,17 +390,13 @@ def braid_operator(m: Module, i: int) -> SparseMatrix:
     w0-product is compatible with C_{T_w0}; calibrate_braid_variant
     certifies it once per Cartan matrix, and make_Tw0 runs that first.
     """
-    if i in m._braid_cache:
-        return m._braid_cache[i]
     d = m.cartan.d[i]
 
     def image(chain, n):
         mstr = len(chain) - 1
         return v_scale(chain[mstr - n], _braid_coefficient(d, mstr, n))
 
-    out = operator_from_strings(m, i, image)
-    m._braid_cache[i] = out
-    return out
+    return operator_from_strings(m, i, image)
 
 
 def _braid_order(cd: CartanDatum, i: int, j: int) -> int:
@@ -422,6 +418,7 @@ def braid_relations_hold(m: Module) -> bool:
     return True
 
 
+@derived
 def _braid_product(m: Module) -> TransportedMap:
     """The w0-product of the T_i, verified against C_{T_w0}."""
     out = SparseMatrix.identity(m.dim)
@@ -469,6 +466,4 @@ def make_Tw0(m: Module) -> TransportedMap:
     pins.
     """
     calibrate_braid_variant(m.cartan)
-    if m._tw0 is None:
-        m._tw0 = _braid_product(m)
-    return m._tw0
+    return _braid_product(m)

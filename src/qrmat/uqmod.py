@@ -16,11 +16,17 @@ Tensor products use the coproduct
     E_i -> E_i (x) K_i + 1 (x) E_i,   F_i -> F_i (x) 1 + K_i^(-1) (x) F_i,
 
 with basis ordered pairs, left factor major.
+
+What a module or a datum derives (K_i powers, divided powers, weight
+splits, tensor products, V_lambda, and in bases and sysmorph its strings,
+crystal operators, braid operators and T_w0) is kept on it by one
+decorator, derived, in the one store its class declares.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import wraps
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cartan import CartanDatum
@@ -59,6 +65,26 @@ def _as_int_weight(wt: Sequence) -> WeightT:
     return tuple(out)
 
 
+def derived(build):
+    """Keep what build(owner, *args) returns on its owner.
+
+    The first call with an owner and an argument tuple builds the object;
+    every later one returns that same object from owner._derived, the one
+    store each owner class declares.  The key is the builder and the
+    positional arguments, so callers pass those in one normal form (see
+    make_irreducible and weight_split).  What is kept lives as long as its
+    owner and keeps its arguments alive as long.
+    """
+    @wraps(build)
+    def get(owner, *args):
+        store = owner._derived
+        key = (build, args)
+        if key not in store:
+            store[key] = build(owner, *args)
+        return store[key]
+    return get
+
+
 class Module:
     """Weight-graded module with exact sparse generator actions."""
 
@@ -77,18 +103,7 @@ class Module:
         self._weight_spaces: Dict[WeightT, List[int]] = {}
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
-        # objects derived from this module live on it: K_i powers, divided
-        # powers, the per-weight splits that tensor pins are projected
-        # with, string and crystal data (bases), braid operators and their
-        # w0-product T_w0 (sysmorph), and V (x) W keyed by the right
-        # factor W
-        self._k_cache: Dict[Tuple[int, int], SparseMatrix] = {}
-        self._divided_cache: Dict[Tuple[str, int, int], SparseMatrix] = {}
-        self._splits: Dict[WeightT, WeightSplit] = {}
-        self._bases_cache: dict = {}
-        self._braid_cache: Dict[int, SparseMatrix] = {}
-        self._tw0 = None
-        self._tensors: Dict[Module, Module] = {}
+        self._derived: dict = {}
 
     # -- structure ------------------------------------------------------------
 
@@ -102,16 +117,14 @@ class Module:
         a = self.cartan.A
         return tuple(wt[k] + sign * a[k][i] for k in range(self.cartan.n))
 
-    def k_i(self, i: int, power: int = 1) -> SparseMatrix:
+    @derived
+    def k_i(self, i: int, power: int) -> SparseMatrix:
         """K_i^power = K_{d_i H_i}^power, diagonal q^(power d_i <H_i, wt>);
-        built once per module and shared, so callers must not mutate it."""
-        got = self._k_cache.get((i, power))
-        if got is None:
-            d = self.cartan.d[i]
-            got = self._k_cache[i, power] = SparseMatrix(self.dim, self.dim, {
-                idx: {idx: FieldElement.q_power(power * d * wt[i])}
-                for idx, wt in enumerate(self.weights)})
-        return got
+        kept on the module and shared, so callers must not mutate it."""
+        d = self.cartan.d[i]
+        return SparseMatrix(self.dim, self.dim, {
+            idx: {idx: FieldElement.q_power(power * d * wt[i])}
+            for idx, wt in enumerate(self.weights)})
 
     def hw_vector(self) -> Vec:
         if self.hw_index is None:
@@ -125,22 +138,16 @@ class Module:
             out = self.F[i].apply(out)
         return out
 
+    @derived
     def divided_power(self, gen: str, i: int, n: int) -> SparseMatrix:
         """E_i^(n) or F_i^(n) = X^n / [n]_{q_i}!."""
         if n < 0:
             raise ValueError("divided power wants n >= 0")
-        key = (gen, i, n)
-        got = self._divided_cache.get(key)
-        if got is not None:
-            return got
         if n == 0:
-            out = SparseMatrix.identity(self.dim)
-        else:
-            prev = self.divided_power(gen, i, n - 1)
-            mat = {"E": self.E, "F": self.F}[gen][i]
-            out = (mat @ prev).scale(q_int(n, self.cartan.d[i]).inv())
-        self._divided_cache[key] = out
-        return out
+            return SparseMatrix.identity(self.dim)
+        prev = self.divided_power(gen, i, n - 1)
+        mat = {"E": self.E, "F": self.F}[gen][i]
+        return (mat @ prev).scale(q_int(n, self.cartan.d[i]).inv())
 
     # -- serialization ----------------------------------------------------------
 
@@ -179,9 +186,11 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int]) -> Module:
     if not cartan.finite:
         raise ModuleConstructionError(
             "irreducible modules need a finite-type Cartan datum")
-    if lam in cartan._irreducibles:
-        return cartan._irreducibles[lam]
+    return _irreducible(cartan, lam)
 
+
+@derived
+def _irreducible(cartan: CartanDatum, lam: WeightT) -> Module:
     n = cartan.n
     # per-basis bookkeeping, indexed by construction order
     weights: List[WeightT] = [lam]
@@ -293,7 +302,6 @@ def make_irreducible(cartan: CartanDatum, hw: Sequence[int]) -> Module:
     mod = Module(cartan, weights, E, F, provenance="irreducible-with-hw-pin",
                  hw_index=0, words=words)
     verify_module(mod)
-    cartan._irreducibles[lam] = mod
     return mod
 
 
@@ -332,7 +340,7 @@ def verify_module(m: Module) -> None:
             if i == j:
                 qi = FieldElement.q_power(cd.d[i])
                 denom = (qi - qi.inv()).inv()
-                rhs = m.k_i(i).sub(m.k_i(i, -1)).scale(denom)
+                rhs = m.k_i(i, 1).sub(m.k_i(i, -1)).scale(denom)
             else:
                 rhs = SparseMatrix.zeros(m.dim, m.dim)
             if lhs != rhs:
@@ -366,13 +374,12 @@ def _check_weight_grading(m: Module, mat: SparseMatrix, i: int, sign: int) -> No
 # Tensor products
 # ---------------------------------------------------------------------------
 
+@derived
 def tensor(m: Module, w: Module) -> Module:
     """V (x) W with the coproduct actions; basis index = a * dim(W) + b.
 
     Built once per factor pair and kept on the left factor.
     """
-    if w in m._tensors:
-        return m._tensors[w]
     if m.cartan is not w.cartan:
         # allow equal-but-distinct data only if structurally identical
         if m.cartan.A != w.cartan.A or m.cartan.d != w.cartan.d:
@@ -407,9 +414,7 @@ def tensor(m: Module, w: Module) -> Module:
                     trips_f.append((a * w.dim + r, a * w.dim + c, val * k))
         E[i] = SparseMatrix.from_triplets(dim, dim, trips_e)
         F[i] = SparseMatrix.from_triplets(dim, dim, trips_f)
-    out = Module(cd, weights, E, F, provenance="tensor")
-    m._tensors[w] = out
-    return out
+    return Module(cd, weights, E, F, provenance="tensor")
 
 
 def kron_vec(a: Vec, b: Vec, right_dim: int) -> Vec:
@@ -467,10 +472,11 @@ def weight_split(m: Module, nu: Sequence[int]) -> WeightSplit:
     """The split of the nu weight space into ker E and im F, built once
     per module and weight; raises unless the two dimensions add up to the
     multiplicity and the parts are independent."""
-    nu = tuple(int(x) for x in nu)
-    got = m._splits.get(nu)
-    if got is not None:
-        return got
+    return _weight_split(m, tuple(int(x) for x in nu))
+
+
+@derived
+def _weight_split(m: Module, nu: WeightT) -> WeightSplit:
     idx = m.weight_space(nu)
     hw = highest_weight_vectors(m, nu)
     images: List[Vec] = []
@@ -494,8 +500,7 @@ def weight_split(m: Module, nu: Sequence[int]) -> WeightSplit:
         r: {idx[c]: x for c, x in coords.rows.get(r, {}).items()}
         for r in range(len(hw))})
     projector = SparseMatrix.from_columns(hw, m.dim) @ to_hw
-    got = m._splits[nu] = WeightSplit(hw, projector)
-    return got
+    return WeightSplit(hw, projector)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ The independent oracle for w0/theta facts is brute-force enumeration of the
 Weyl group as matrices acting on weight coordinates.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -105,9 +106,22 @@ def test_w0_matches_enumeration_oracle(label):
     assert cd.apply_w0(cd.apply_w0(cd.rho)) == cd.rho
 
 
-def test_lex_least_word_is_lex_least_a2():
-    # both reduced words of w0 in A2 are 121 and 212; lex-least is 121
-    assert make_cartan("A2").w0_word == (0, 1, 0)
+def lex_least_w0_word(cd):
+    """The first word in lexicographic order, of length |Phi+|, whose
+    product is w0, the one Weyl group element sending rho to -rho."""
+    n, a = cd.n, cd.A
+    for word in itertools.product(range(n), repeat=len(cd.positive_roots())):
+        v = (1,) * n
+        for i in reversed(word):  # the product applied to rho
+            v = tuple(v[k] - v[i] * a[k][i] for k in range(n))
+        if v == (-1,) * n:
+            return word
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+def test_w0_word_is_the_lex_least_reduced_word(label):
+    cd = make_cartan(label)
+    assert cd.w0_word == lex_least_w0_word(cd)
 
 
 # -- hand-derived structure constants --------------------------------------------

@@ -377,6 +377,24 @@ def test_out_and_golden_exclude_each_other(tmp_path, capsys, command):
     assert not out.exists() and not golden.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("canonical-basis", "--hw", "1", "--out", "{missing}"),
+    ("canonical-basis", "--hw", "1", "--golden", "{missing}"),
+    ("canonical-basis", "--hw", "1", "--out", "{dir}"),
+    ("verify", "--hw", "1", "--hw", "1", "--suite", "method-agreement",
+     "--out", "{below_file}"),
+])
+def test_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": str(tmp_path / "no" / "x.json"),
+             "dir": str(tmp_path),
+             "below_file": str(tmp_path / "file" / "reports")}
+    argv = [a.format(**paths) for a in argv]
+    code, _, stderr = run(capsys, argv[0], "--type", "A1", *argv[1:])
+    assert code == 2
+    assert argv[-1] in stderr
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -9,7 +9,9 @@ on self is read as an attribute somewhere in the package, or is listed
 below with its reason; every module-level name bound to an empty
 container is process-wide state and is listed below with its reason; and
 no module keys anything by object identity or holds an assert statement,
-which python -O would strip from its self-checks.  A
+which python -O would strip from its self-checks; and no module reaches
+a private attribute of a class defined in another module, so each layer
+keeps what it builds in the one store its owner declares, _derived.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
@@ -334,3 +336,42 @@ def test_process_wide_state_is_listed():
 def test_process_state_list_names_only_module_containers():
     # a listed name that leaves module level leaves the list
     assert set(PROCESS_STATE) <= _process_state()
+
+
+def _own_private_names(tree):
+    """Attributes that a class of this module defines or assigns on self."""
+    own = set()
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own.add(item.name)
+            elif isinstance(item, ast.Assign):
+                own.update(t.id for t in item.targets
+                           if isinstance(t, ast.Name))
+            elif isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name):
+                own.add(item.target.id)
+        own.update(node.attr for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id in ("self", "cls"))
+    return own
+
+
+def test_no_module_reaches_another_modules_private_attributes():
+    # _derived is the store every owner declares and uqmod.derived fills
+    foreign = []
+    for path, tree in _trees(PACKAGE):
+        own = _own_private_names(tree)
+        foreign.extend(
+            f"{os.path.basename(path)}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and node.attr != "_derived" and node.attr not in own
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in ("self", "cls")))
+    assert foreign == []

@@ -124,12 +124,17 @@ def test_based_tensor_and_braiding_die_with_a_factor():
     bl = based_of("A1", (1,))
     br = based_irreducible(bl.module)
     bt = weakref.ref(based_tensor(bl, br))
-    # the braiding lives on the based tensor product, so it dies with it
-    assert bt()._braiding is None
-    braiding(bl, br)
+
+    def kept_matrices():
+        return [v for v in vars(bt()).values() if isinstance(v, SparseMatrix)]
+    # the braiding is built on first use and kept on the based tensor
+    # product, so it dies with it
+    assert kept_matrices() == []
+    sigma = braiding(bl, br)
     assert bt() is based_tensor(bl, br)
-    assert bt()._braiding is braiding(bl, br)
-    del br
+    assert braiding(bl, br) is sigma
+    assert len(kept_matrices()) == 1 and kept_matrices()[0] is sigma
+    del sigma, br
     gc.collect()
     assert bt() is None
 

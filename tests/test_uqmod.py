@@ -5,15 +5,20 @@ sl2 string identities, and hand-derived coproduct matrix entries.
 """
 
 import contextlib
+import gc
 import io
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from qrmat import cli
+from qrmat.bases import (compute_global_basis, crystal_graph,
+                         kashiwara_operators, string_chains)
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_is_zero, v_scale, v_sub
 from qrmat.qscalar import ONE, FieldElement, Q, q_int
+from qrmat.sysmorph import braid_operator, make_Tw0
 from qrmat.uqmod import (
     InternalConsistencyError,
     Module,
@@ -151,6 +156,54 @@ def test_irreducibles_and_tensors_are_built_once_per_owner():
                     (0, 0): make_irreducible(cd, (0, 0))}
 
 
+def v10(cd):
+    return make_irreducible(cd, (1, 0))
+
+
+# every kind of object a datum or a module derives and keeps, built from a
+# datum; a map keeps its inverse and a lattice frame its inverse
+DERIVED = {
+    "irreducible": v10,
+    "k_i": lambda cd: v10(cd).k_i(0, -1),
+    "divided_power": lambda cd: v10(cd).divided_power("F", 1, 1),
+    "weight_split": lambda cd: weight_split(tensor(v10(cd), v10(cd)), (0, 1)),
+    "tensor": lambda cd: tensor(v10(cd), v10(cd)),
+    "string_chains": lambda cd: string_chains(v10(cd), 0),
+    "kashiwara_operators": lambda cd: kashiwara_operators(v10(cd), 1),
+    "braid_operator": lambda cd: braid_operator(v10(cd), 0),
+    "tw0": lambda cd: make_Tw0(v10(cd)),
+    "tw0_inverse": lambda cd: make_Tw0(v10(cd)).inverse(),
+    "crystal": lambda cd: crystal_graph(v10(cd)),
+    "global_basis": lambda cd: compute_global_basis(v10(cd)),
+    "frame_inverse":
+        lambda cd: crystal_graph(v10(cd)).frames[(1, 0)]._inverse(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_objects_are_built_once_per_owner(name):
+    cd = make_cartan("A2")
+    got = DERIVED[name](cd)
+    assert DERIVED[name](cd) is got
+    assert DERIVED[name](make_cartan("A2")) is not got
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_objects_die_with_their_datum(name):
+    cd = make_cartan("A2")
+    DERIVED[name](cd)
+    module = weakref.ref(v10(cd))
+    del cd
+    gc.collect()
+    assert module() is None
+
+
+def kept_by(owner, getter) -> dict:
+    """What owner keeps from a derived getter, by argument tuple."""
+    return {key[1]: obj for key, obj in owner._derived.items()
+            if key[0] is getter.__wrapped__}
+
+
 def fresh_k(m: Module, i: int, power: int) -> SparseMatrix:
     d = m.cartan.d[i]
     return SparseMatrix(m.dim, m.dim, {
@@ -180,8 +233,9 @@ def test_shared_k_powers_survive_a_verify_suite():
         m = todo.pop()
         if all(m is not s for s in seen):
             seen.append(m)
-            todo.extend(m._tensors.values())
-    memos = [(m, key, k) for m in seen for key, k in m._k_cache.items()]
+            todo.extend(kept_by(m, tensor).values())
+    memos = [(m, args, k) for m in seen
+             for args, k in kept_by(m, Module.k_i).items()]
     assert len(seen) >= 4 and len(memos) >= 16
     for m, (i, p), k in memos:
         assert k == fresh_k(m, i, p)
@@ -210,7 +264,7 @@ def test_coproduct_entries_by_hand():
     got_f = t.F[0].apply({0: ONE})
     assert got_f == {2 * lo + hi: ONE, 2 * hi + lo: Q.inv()}
     # K_H acts by weight addition
-    kh = t.k_i(0)
+    kh = t.k_i(0, 1)
     assert kh.entry(0, 0) == Q * Q and kh.entry(3, 3) == (Q * Q).inv()
 
 
