@@ -353,26 +353,18 @@ class CrystalGraph:
         }
 
 
-def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
-    """Crystal of an irreducible module, by breadth-first residue search.
+@derived
+def crystal_graph(m: Module) -> CrystalGraph:
+    """Crystal of an irreducible module, by breadth-first residue search
+    from its pin.
 
     Vertex representatives are Kashiwara-word vectors; at each new weight the
     frame is the echelon A-basis of all candidates arriving there, and
     candidates are identified by their residue tuples.  The e-edge structure
     is afterwards reverified against the algebraic Etilde residues.
     """
-    if m.hw_index is None and hw_vec is None:
-        raise ModuleConstructionError("crystal wants a highest weight vector")
-    if hw_vec is None and "crystal" in m._derived:
-        return m._derived["crystal"]
-    v0 = v_clean(dict(hw_vec)) if hw_vec is not None else m.hw_vector()
-    if v_is_zero(v0):
-        raise ModuleConstructionError("highest weight vector is zero")
-    lam = m.weights[next(iter(v0))]
-    for i in range(m.cartan.n):
-        if not v_is_zero(m.E[i].apply(v0)):
-            raise ModuleConstructionError(
-                f"seed vector is not E_{i + 1}-highest")
+    v0 = m.hw_vector()
+    lam = m.weights[m.hw_index]
 
     ops = [kashiwara_operators(m, i) for i in range(m.cartan.n)]
 
@@ -454,9 +446,7 @@ def crystal_graph(m: Module, hw_vec: Optional[Vec] = None) -> CrystalGraph:
                          frames=frames, residues=residues)
     if len(graph.highest()) != 1 or graph.highest()[0] != 0:
         raise InternalConsistencyError(
-            "irreducible crystal must have exactly the seed as highest vertex")
-    if hw_vec is None:
-        m._derived["crystal"] = graph
+            "irreducible crystal must have exactly the pin as highest vertex")
     return graph
 
 
@@ -468,13 +458,11 @@ class GlobalBasis:
     """Bar-fixed lift of a crystal: one element per vertex."""
 
     def __init__(self, module: Module, crystal: CrystalGraph,
-                 elements: Sequence[Vec], hw_vec: Vec,
-                 bar_scalar: FieldElement, monomial_words):
+                 elements: Sequence[Vec], hw_vec: Vec, monomial_words):
         self.module = module
         self.crystal = crystal
         self.elements = list(elements)
         self.hw_vec = dict(hw_vec)
-        self.bar_scalar = bar_scalar
         self.monomial_words = list(monomial_words)
         if rank(SparseMatrix.from_columns(self.elements, module.dim)) \
                 != module.dim:
@@ -485,10 +473,6 @@ class GlobalBasis:
             raise InternalConsistencyError(
                 f"expected one lowest vertex, found {len(lows)}")
         self.low_vertex = lows[0]
-
-    def bar(self, v: Vec) -> Vec:
-        """The transported bar involution of the module."""
-        return v_scale(v_bar(v), self.bar_scalar)
 
     def to_json_obj(self) -> dict:
         return {
@@ -642,26 +626,24 @@ def _window_solve(gens: List[Vec], gcoords: List[List[FieldElement]],
     return v_clean(out)
 
 
-def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis:
-    """Global basis of an irreducible module with a pinned highest weight
-    vector.
+@derived
+def compute_global_basis(m: Module) -> GlobalBasis:
+    """Global basis of an irreducible module, lifted from its pin.
 
-    Stage 1 transports the bar involution: it fixes every F-word of the pin,
-    so on coordinates it is coefficient-bar twisted by pin/bar(pin).  Stage 2
-    builds the crystal and, once per vertex, its adapted word and the
-    bar-fixed divided-power monomial of that word.  Stage 3 keeps monomials
-    that already lift their vertex (in the lattice, residue on the nose) and
-    replaces the rest through the exact window solve, whose generators are
-    the monomials of the vertices at that weight, one per vertex.  Generators
-    that do not span the integral slice make the solve raise; they never
-    yield a wrong basis.  Every characterizing condition, bar-fixedness
+    Stage 1 refuses a module whose E/F matrices are not bar-invariant; on
+    one that is, the bar involution fixes every F-word of the pin, so it is
+    the coefficient bar v_bar on coordinates.  Stage 2 builds the crystal
+    and, once per vertex, its adapted word and the bar-fixed divided-power
+    monomial of that word.  Stage 3 keeps monomials that already lift their
+    vertex (in the lattice, residue on the nose) and replaces the rest
+    through the exact window solve, whose generators are the monomials of
+    the vertices at that weight, one per vertex.  Generators that do not
+    span the integral slice make the solve raise; they never yield a wrong
+    basis.  Every characterizing condition, bar-fixedness
     included, is decided once by verify_global_basis before the basis is
     returned, so a bug upstream surfaces as an error here, not as a wrong
     basis.
     """
-    if hw_vec is None and "global" in m._derived:
-        return m._derived["global"]
-
     for i in range(m.cartan.n):
         for mat in (m.E[i], m.F[i]):
             if mat.bar_entries() != mat:
@@ -669,18 +651,12 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
                     "global basis wants a module whose E/F matrices are "
                     "bar-invariant (irreducible construction form)")
 
-    seed = v_clean(dict(hw_vec)) if hw_vec is not None else m.hw_vector()
-    if len(seed) != 1:
-        raise ModuleConstructionError(
-            "highest weight pin must be supported on the single top line")
-    (_, c), = seed.items()
-    bar_scalar = c / c.bar()
-
-    crystal = crystal_graph(m, seed if hw_vec is not None else None)
+    pin = m.hw_vector()
+    crystal = crystal_graph(m)
 
     memo: Dict[int, Tuple[Tuple[int, int], ...]] = {}
     words = [_adapted_word(crystal, v, memo) for v in range(crystal.size)]
-    monomials = [_apply_divided_word(m, w, seed) for w in words]
+    monomials = [_apply_divided_word(m, w, pin) for w in words]
     at_weight: Dict[WeightT, List[Vec]] = {}
     for v, g in enumerate(monomials):
         if v_is_zero(g):
@@ -697,10 +673,8 @@ def compute_global_basis(m: Module, hw_vec: Optional[Vec] = None) -> GlobalBasis
                                   f"vertex {v} at weight {wt}")
         elements.append(g)
 
-    gb = GlobalBasis(m, crystal, elements, seed, bar_scalar, words)
+    gb = GlobalBasis(m, crystal, elements, pin, words)
     verify_global_basis(gb)
-    if hw_vec is None:
-        m._derived["global"] = gb
     return gb
 
 
@@ -712,7 +686,7 @@ def verify_global_basis(gb: GlobalBasis) -> None:
     m = gb.module
     crystal = gb.crystal
     for v, g in enumerate(gb.elements):
-        if not v_eq(gb.bar(g), g):
+        if not v_eq(v_bar(g), g):
             raise InternalConsistencyError(
                 f"global basis element {v} is not bar-fixed")
         frame = crystal.frames[crystal.weights[v]]
@@ -759,33 +733,37 @@ def verify_global_basis(gb: GlobalBasis) -> None:
 _signature_certified: Set[tuple] = set()
 
 
-def _pair_edges(bv: CrystalGraph, bw: CrystalGraph):
-    """Signature-rule f and e edges on pairs, as index maps: f acts on the
-    left factor when phi(a) > eps(b), e when phi(a) >= eps(b)."""
-    n = bv.cartan.n
-    f_map: Dict[Tuple[int, int], Optional[int]] = {}
-    e_map: Dict[Tuple[int, int], Optional[int]] = {}
-
-    def enc(a: int, b: int) -> int:
-        return a * bw.size + b
-
+def _pair_edges(bv: CrystalGraph, bw: CrystalGraph
+                ) -> Dict[Tuple[int, int], int]:
+    """Signature-rule f edges on pairs, pair (a, b) being vertex
+    a * bw.size + b: f acts on the left factor when phi(a) > eps(b)."""
+    f_edges: Dict[Tuple[int, int], int] = {}
     for a in range(bv.size):
         for b in range(bw.size):
-            for i in range(n):
-                pa, eb = bv.phi(a, i), bw.eps(b, i)
-                if pa > eb:
+            for i in range(bv.cartan.n):
+                if bv.phi(a, i) > bw.eps(b, i):
                     fa = bv.f(a, i)
-                    f_map[(enc(a, b), i)] = None if fa is None else enc(fa, b)
+                    if fa is not None:
+                        f_edges[(a * bw.size + b, i)] = fa * bw.size + b
                 else:
                     fb = bw.f(b, i)
-                    f_map[(enc(a, b), i)] = None if fb is None else enc(a, fb)
-                if pa >= eb:
-                    ea = bv.e(a, i)
-                    e_map[(enc(a, b), i)] = None if ea is None else enc(ea, b)
-                else:
-                    eb2 = bw.e(b, i)
-                    e_map[(enc(a, b), i)] = None if eb2 is None else enc(a, eb2)
-    return f_map, e_map
+                    if fb is not None:
+                        f_edges[(a * bw.size + b, i)] = a * bw.size + fb
+    return f_edges
+
+
+def _pair_crystal(bv: CrystalGraph, bw: CrystalGraph) -> CrystalGraph:
+    """The pair crystal of the signature rule, neither certified nor
+    kept."""
+    weights = []
+    labels = []
+    for a in range(bv.size):
+        for b in range(bw.size):
+            weights.append(tuple(x + y for x, y in zip(bv.weights[a],
+                                                       bw.weights[b])))
+            labels.append((a, b))
+    return CrystalGraph(bv.cartan, weights, _pair_edges(bv, bw),
+                        labels=labels)
 
 
 def _algebraic_pair_edges(bv: CrystalGraph, bw: CrystalGraph):
@@ -847,14 +825,14 @@ def _algebraic_pair_edges(bv: CrystalGraph, bw: CrystalGraph):
 
 
 def _check_signature_rule(bv: CrystalGraph, bw: CrystalGraph,
-                          f_map, e_map) -> None:
-    """Raise unless the pair edges f_map and e_map (as _pair_edges gives
-    them) equal the residues of the algebraic Kashiwara operators on the
-    tensor module at every pair and node."""
+                          pair: CrystalGraph) -> None:
+    """Raise unless the f and e edges of the pair crystal of bv and bw
+    equal the residues of the algebraic Kashiwara operators on the tensor
+    module at every pair and node."""
     alg_f, alg_e = _algebraic_pair_edges(bv, bw)
-    for side, edges, alg in (("f", f_map, alg_f), ("e", e_map, alg_e)):
+    for side, step, alg in (("f", pair.f, alg_f), ("e", pair.e, alg_e)):
         for ((a, b), i), want in alg.items():
-            got = edges[(a * bw.size + b, i)]
+            got = step(a * bw.size + b, i)
             if (None if got is None else divmod(got, bw.size)) != want:
                 raise InternalConsistencyError(
                     f"signature rule disagrees with algebraic residues "
@@ -868,7 +846,7 @@ def certify_signature_rule(cd: CartanDatum) -> None:
         return
     bp = crystal_graph(make_irreducible(cd, tuple(1 if k == 0 else 0
                                                   for k in range(cd.n))))
-    _check_signature_rule(bp, bp, *_pair_edges(bp, bp))
+    _check_signature_rule(bp, bp, _pair_crystal(bp, bp))
     _signature_certified.add(cd.A)
 
 
@@ -886,16 +864,7 @@ def tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> CrystalGraph:
     hit = bv._pairs.get(bw)
     if hit is not None:
         return hit
-    f_map, _ = _pair_edges(bv, bw)
-    weights = []
-    labels = []
-    for a in range(bv.size):
-        for b in range(bw.size):
-            weights.append(tuple(x + y for x, y in zip(bv.weights[a],
-                                                       bw.weights[b])))
-            labels.append((a, b))
-    f_edges = {(v, i): w for (v, i), w in f_map.items() if w is not None}
-    graph = CrystalGraph(bv.cartan, weights, f_edges, labels=labels)
+    graph = _pair_crystal(bv, bw)
     for h in graph.highest():
         a, _ = graph.labels[h]
         if any(bv.eps(a, i) != 0 for i in range(bv.cartan.n)):
@@ -910,5 +879,5 @@ def cross_validate_tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> Crystal
     """Signature-rule crystal, rechecked edge by edge against the algebraic
     Kashiwara residues on the tensor module."""
     graph = tensor_crystal(bv, bw)
-    _check_signature_rule(bv, bw, *_pair_edges(bv, bw))
+    _check_signature_rule(bv, bw, graph)
     return graph

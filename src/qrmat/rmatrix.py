@@ -26,11 +26,14 @@ injector reads its summands, and the isotypic decomposition in uqmod is
 left to the tests as an independent oracle.
 
 Every built object has one owner and lives as long as it does.  The
-Cartan datum owns each V_nu, and a module its crystal, global basis,
+Cartan datum owns each V_nu, and a module its crystal graph, global basis,
 weight splits and tensor products with right factors, all in the owner's
-one store (uqmod.derived).  A summand of a based tensor product reads its
-V_nu and that module's global basis on first use (BasedComponent.ref,
-ref_gb), so r_theta, which reads neither, builds and verifies neither.
+one store (uqmod.derived).  A factor whose pin the scaling checks rescale
+by z reads that one global basis through the embedding z times the
+identity, so no crystal or global basis is built twice.  A summand of a
+based tensor product reads its V_nu and that module's global basis on
+first use (BasedComponent.ref, ref_gb), so r_theta, which reads neither,
+builds and verifies neither.
 A based module owns the maps of every system transported on it
 (system_on, keyed by the system's name: Theta, Gamma, bar) and, weakly
 keyed by the right factor so that each dies with either factor, its
@@ -139,10 +142,8 @@ class BasedModule:
         return f"BasedModule({self.describe()}, dim={self.module.dim})"
 
 
-def based_irreducible(m: Module, gb: Optional[GlobalBasis] = None
-                      ) -> BasedModule:
-    if gb is None:
-        gb = compute_global_basis(m)
+def based_irreducible(m: Module) -> BasedModule:
+    gb = compute_global_basis(m)
     nu = m.weights[m.hw_index]
     comp = BasedComponent(m, nu, gb.hw_vec, m, gb,
                           embed=SparseMatrix.identity(m.dim))
@@ -513,8 +514,22 @@ RESCALE_COEFFS: Tuple[FieldElement, ...] = (
 
 
 def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
-    gb = compute_global_basis(m, hw_vec={m.hw_index: z})
-    return based_irreducible(m, gb)
+    """The irreducible m based at the pin z b_lambda: the module's one
+    global basis, embedded by z times the identity.
+
+    The global basis of the pin z v (v = b_lambda) is z G(b).  G(b) is
+    fixed by the bar involution, lies in the crystal lattice L of v with
+    residue b, and is integral over v.  The pin z v has the lattice zL and
+    the bar involution that fixes its F-words, v_bar twisted by z/bar(z),
+    which fixes z G(b).  The frames of zL are z times those of L, so z G(b)
+    has the coordinates in zL that G(b) has in L, hence residue b; and
+    z G(b) is integral over z v.  These four conditions determine the
+    element, so z G(b) is the basis element of the pin z v at vertex b.
+    """
+    gb = compute_global_basis(m)
+    comp = BasedComponent(m, m.weights[m.hw_index], v_scale(gb.hw_vec, z),
+                          m, gb, embed=SparseMatrix.identity(m.dim).scale(z))
+    return BasedModule(m, [comp])
 
 
 def check_method_agreement(bl: BasedModule, br: BasedModule,

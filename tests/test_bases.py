@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 import qrmat.bases as bases
+import qrmat.rmatrix as rmatrix
 from qrmat.bases import (Frame, GlobalBasis,
                          compute_global_basis, cross_validate_tensor_crystal,
                          crystal_graph, certify_signature_rule,
                          kashiwara_operators, tensor_crystal)
 from qrmat.cartan import make_cartan
 from qrmat.cli import _canon
-from qrmat.linalg import inverse, v_clean, v_eq, v_scale
+from qrmat.linalg import inverse, v_bar, v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement, Q, QLaurent
 from qrmat.rmatrix import based_irreducible, based_tensor
 from qrmat.sysmorph import braid_operator
@@ -130,12 +131,6 @@ def test_crystal_eps_phi_match_weight_pairing():
             assert g.phi(v, i) - g.eps(v, i) == g.weight(v)[i]
 
 
-def test_crystal_rejects_vector_that_is_not_highest():
-    m = make_irreducible(A1, (2,))
-    with pytest.raises(ModuleConstructionError):
-        crystal_graph(m, {1: ONE})
-
-
 def test_crystal_dot_output_is_deterministic():
     m = make_irreducible(A2, (1, 0))
     g = crystal_graph(m)
@@ -229,17 +224,22 @@ def test_global_basis_elements_are_bar_fixed():
     m = make_irreducible(B2, (1, 1))
     gb = compute_global_basis(m)
     for g in gb.elements:
-        assert v_eq(gb.bar(g), g)
+        assert v_eq(v_bar(g), g)
 
 
 def test_global_basis_scales_with_the_pin():
+    # the factor pinned at z b_lambda: its elements are z G(b), fixed by
+    # the bar of that pin, v_bar twisted by z / bar(z)
     m = make_irreducible(A2, (1, 1))
     plain = compute_global_basis(m)
     for z in [Q, fe([(0, 1), (1, 1)]), fe([(0, 2), (-1, -1)])]:
-        scaled = compute_global_basis(m, hw_vec={0: z})
-        assert all(v_eq(scaled.elements[v], v_scale(plain.elements[v], z))
-                   for v in range(m.dim))
-        assert scaled.bar_scalar == z / z.bar()
+        comp, = rmatrix._rescaled_factor(m, z).components
+        assert comp.hw_vec == {0: z}
+        for v in range(m.dim):
+            g = comp.basis_element(v)
+            assert v_eq(g, v_scale(plain.elements[v], z))
+            assert v_eq(v_scale(v_bar(g), z / z.bar()), g)
+            assert not v_eq(v_bar(g), g)
 
 
 def _monomials_at(gb, wt):
@@ -280,7 +280,7 @@ def test_global_basis_refuses_tensor_modules():
     m = make_irreducible(A1, (1,))
     t = tensor(m, m)
     with pytest.raises(ModuleConstructionError):
-        compute_global_basis(t, {0: ONE})
+        compute_global_basis(t)
 
 
 def test_global_basis_detects_tampered_element():
@@ -318,22 +318,20 @@ def test_signature_rule_is_certified_once_per_cartan_matrix(monkeypatch):
 
 def _mirrored_pair_edges(bv, bw):
     """The signature rule with the factors' roles swapped: f acts on the
-    left factor when phi(b) <= eps(a), e when phi(b) < eps(a)."""
-    f_map, e_map = {}, {}
+    left factor when phi(b) <= eps(a)."""
+    f_edges = {}
     for a in range(bv.size):
         for b in range(bw.size):
-            v = a * bw.size + b
             for i in range(bv.cartan.n):
-                pb, ea = bw.phi(b, i), bv.eps(a, i)
-                for edges, left, right, acts_left in (
-                        (f_map, bv.f(a, i), bw.f(b, i), pb <= ea),
-                        (e_map, bv.e(a, i), bw.e(b, i), pb < ea)):
-                    if acts_left:
-                        w = None if left is None else left * bw.size + b
-                    else:
-                        w = None if right is None else a * bw.size + right
-                    edges[(v, i)] = w
-    return f_map, e_map
+                if bw.phi(b, i) <= bv.eps(a, i):
+                    fa = bv.f(a, i)
+                    if fa is not None:
+                        f_edges[(a * bw.size + b, i)] = fa * bw.size + b
+                else:
+                    fb = bw.f(b, i)
+                    if fb is not None:
+                        f_edges[(a * bw.size + b, i)] = a * bw.size + fb
+    return f_edges
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
@@ -342,12 +340,15 @@ def test_mirrored_signature_rule_fails_the_residue_comparison(monkeypatch,
     cd = make_cartan(label)
     b = crystal_graph(make_irreducible(cd, tuple(int(k == 0)
                                                  for k in range(cd.n))))
-    bases._check_signature_rule(b, b, *bases._pair_edges(b, b))
-    with pytest.raises(InternalConsistencyError,
-                       match="signature rule disagrees"):
-        bases._check_signature_rule(b, b, *_mirrored_pair_edges(b, b))
+    honest = bases._pair_crystal(b, b)
+    bases._check_signature_rule(b, b, honest)
     monkeypatch.setattr(bases, "_signature_certified", set())
     monkeypatch.setattr(bases, "_pair_edges", _mirrored_pair_edges)
+    mirrored = bases._pair_crystal(b, b)
+    assert mirrored.f(0, 0) != honest.f(0, 0)
+    with pytest.raises(InternalConsistencyError,
+                       match="signature rule disagrees"):
+        bases._check_signature_rule(b, b, mirrored)
     with pytest.raises(InternalConsistencyError,
                        match="signature rule disagrees"):
         certify_signature_rule(cd)
@@ -450,7 +451,7 @@ def test_global_basis_with_a_repeated_element_raises():
     elements = [gb.elements[0]] + gb.elements[:-1]
     with pytest.raises(InternalConsistencyError, match="linearly dependent"):
         GlobalBasis(gb.module, gb.crystal, elements, gb.hw_vec,
-                    gb.bar_scalar, gb.monomial_words)
+                    gb.monomial_words)
 
 
 def test_string_matrix_is_factored_once_per_module_and_node(monkeypatch):

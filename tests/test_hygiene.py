@@ -11,7 +11,8 @@ container is process-wide state and is listed below with its reason; and
 no module keys anything by object identity or holds an assert statement,
 which python -O would strip from its self-checks; and no module reaches
 a private attribute of a class defined in another module, so each layer
-keeps what it builds in the one store its owner declares, _derived.  A
+keeps what it builds in the one store its owner declares, _derived, which
+nothing but the decorator uqmod.derived reads or writes.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
@@ -375,3 +376,36 @@ def test_no_module_reaches_another_modules_private_attributes():
             and not (isinstance(node.value, ast.Name)
                      and node.value.id in ("self", "cls")))
     assert foreign == []
+
+
+def _store_touches():
+    """"<file>:<line>" of each read or write of an attribute _derived
+    outside uqmod.derived, but for an owner's declaration of its store,
+    self._derived = {}."""
+    out = []
+    for path, tree in _trees(PACKAGE):
+        name = os.path.basename(path)
+        allowed = set()
+        for node in ast.walk(tree):
+            if name == "uqmod.py" and isinstance(node, ast.FunctionDef) \
+                    and node.name == "derived":
+                allowed.update(n for n in ast.walk(node)
+                               if isinstance(n, ast.Attribute))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and node.value is not None \
+                    and _is_empty_container(node.value):
+                targets = getattr(node, "targets", None) or [node.target]
+                allowed.update(t for t in targets
+                               if isinstance(t, ast.Attribute)
+                               and isinstance(t.value, ast.Name)
+                               and t.value.id == "self")
+        out.extend(f"{name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "_derived" and node not in allowed)
+    return out
+
+
+def test_only_uqmod_derived_reads_or_writes_an_owners_store():
+    # an owner declares its store; what goes in and comes out passes
+    # through the one decorator, so no object has a second cache path
+    assert _store_touches() == []

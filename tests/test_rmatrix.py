@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from qrmat import rmatrix, uqmod
+from qrmat import bases, rmatrix, uqmod
 from qrmat.cartan import make_cartan
-from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq
+from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement
 from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            based_tensor, braiding,
@@ -441,6 +441,37 @@ def test_method_agreement_with_rescaled_pins():
 def test_scaling_independence_per_side():
     rep = check_scaling(based_of("A1", (1,)), based_of("A1", (2,)))
     assert rep.passed, rep.counterexamples
+
+
+def test_warm_scaling_checks_build_no_crystal_or_global_basis(monkeypatch):
+    # a rescaled factor reads its module's one global basis, so once the
+    # factors are built no check lifts, verifies or keeps another
+    bl, br = based_of("A1", (1,)), based_of("A1", (2,))
+    check_scaling(bl, br)
+    check_method_agreement(bl, br)
+    verified = []
+    real = bases.verify_global_basis
+    monkeypatch.setattr(bases, "verify_global_basis",
+                        lambda gb: verified.append(gb) or real(gb))
+    assert check_scaling(bl, br).passed
+    assert check_method_agreement(bl, br).passed
+    assert verified == []
+
+
+def test_scaled_pin_with_an_unscaled_embedding_fails_scaling(monkeypatch):
+    # the pin alone rescaled: the right factor's basis elements, and with
+    # them the tensor pins, stay put while its Theta twists by z / bar(z)
+    def pin_only(m, z):
+        comp, = based_irreducible(m).components
+        return rmatrix.BasedModule(m, [rmatrix.BasedComponent(
+            m, comp.nu, v_scale(comp.hw_vec, z), m, comp.ref_gb,
+            comp.embed)])
+
+    monkeypatch.setattr(rmatrix, "_rescaled_factor", pin_only)
+    rep = check_scaling(based_of("A1", (1,)), based_of("A1", (2,)))
+    assert not rep.passed
+    assert {ce["check"].split(" by ")[0] for ce in rep.counterexamples} \
+        == {"rescale right pin"}
 
 
 def test_double_braiding_scalars_match_golden():
