@@ -458,11 +458,10 @@ class GlobalBasis:
     """Bar-fixed lift of a crystal: one element per vertex."""
 
     def __init__(self, module: Module, crystal: CrystalGraph,
-                 elements: Sequence[Vec], hw_vec: Vec, monomial_words):
+                 elements: Sequence[Vec], monomial_words):
         self.module = module
         self.crystal = crystal
         self.elements = list(elements)
-        self.hw_vec = dict(hw_vec)
         self.monomial_words = list(monomial_words)
         if rank(SparseMatrix.from_columns(self.elements, module.dim)) \
                 != module.dim:
@@ -673,7 +672,7 @@ def compute_global_basis(m: Module) -> GlobalBasis:
                                   f"vertex {v} at weight {wt}")
         elements.append(g)
 
-    gb = GlobalBasis(m, crystal, elements, pin, words)
+    gb = GlobalBasis(m, crystal, elements, words)
     verify_global_basis(gb)
     return gb
 

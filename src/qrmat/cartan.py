@@ -130,7 +130,6 @@ class CartanDatum:
         self.rho = tuple(Fraction(1) for _ in range(n))
         self._w0_word: Optional[Tuple[int, ...]] = None
         self._theta: Optional[Tuple[int, ...]] = None
-        self._w0_matrix: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
         # what is built from this datum (its V_lambda, see uqmod.derived),
         # so modules, crystals and global bases live exactly as long as it
         self._derived: dict = {}
@@ -211,11 +210,6 @@ class CartanDatum:
                 raise CartanError("longest-element descent failed to terminate")
         if v != tuple(-x for x in self.rho):
             raise CartanError("datum is not finite type")
-        # w0 = s_{applied[-1]} ... s_{applied[0]}
-        mat = self._identity()
-        for i in applied:
-            mat = self._left_reflect(i, mat)
-        self._w0_matrix = mat
         self._w0_word = tuple(applied)
         theta = []
         for j in range(self.n):
@@ -231,19 +225,6 @@ class CartanDatum:
                 or self.A[theta[i]][theta[j]] != self.A[i][j]
                 for i in range(self.n) for j in range(self.n)):
             raise CartanError("-w0 is not an involutive diagram automorphism")
-
-    def _identity(self):
-        return tuple(tuple(Fraction(int(i == j)) for j in range(self.n))
-                     for i in range(self.n))
-
-    def _left_reflect(self, i: int, mat):
-        """Matrix of s_i compose mat (columns of mat reflected by s_i)."""
-        new_cols = [self.reflect(i, col) for col in zip(*mat)]
-        return tuple(tuple(row) for row in zip(*new_cols))
-
-    @staticmethod
-    def _apply_matrix(mat, wt) -> WeightT:
-        return tuple(sum(row[j] * wt[j] for j in range(len(wt))) for row in mat)
 
     # -- basic structure -------------------------------------------------------
 
@@ -293,8 +274,13 @@ class CartanDatum:
         return self._theta
 
     def apply_w0(self, wt: Sequence) -> WeightT:
+        """w0(wt), reflected along w0_word: s_{w[-1]} ... s_{w[0]} is the
+        inverse of the word's product w0, and w0 is an involution."""
         self._require_finite()
-        return self._apply_matrix(self._w0_matrix, wt)
+        out = wt
+        for i in self._w0_word:
+            out = self.reflect(i, out)
+        return out
 
     def positive_roots(self) -> List[WeightT]:
         """All positive roots, by closure under simple reflections."""

@@ -79,9 +79,9 @@ def _dominant_weights(cd: CartanDatum, max_sum: int) -> List[WeightT]:
 
 
 # One Cartan datum per type label for the life of the process; the datum
-# owns the irreducibles built on it (uqmod.make_irreducible).
+# owns the irreducibles built on it (uqmod.make_irreducible), and each of
+# them its based irreducible (rmatrix.based_irreducible).
 _cartans: Dict[str, CartanDatum] = {}
-_based_cache: Dict[Tuple[str, WeightT], BasedModule] = {}
 
 
 def _cartan_of(label: str) -> CartanDatum:
@@ -95,10 +95,7 @@ def _module_of(label: str, hw: WeightT) -> Module:
 
 
 def _based_of(label: str, hw: WeightT) -> BasedModule:
-    key = (label, hw)
-    if key not in _based_cache:
-        _based_cache[key] = based_irreducible(_module_of(label, hw))
-    return _based_cache[key]
+    return based_irreducible(_module_of(label, hw))
 
 
 def _emit(payload: str, out: Optional[str], golden: Optional[str]) -> int:
@@ -214,7 +211,7 @@ def _module_relations_report(label: str, hw: WeightT) -> CheckReport:
         braid = make_Tw0(m)
         gb = compute_global_basis(m)
         transported = transport(m, tw0_spec(), gb.elements[gb.low_vertex],
-                                gb.hw_vec)
+                                m.hw_vector())
         if braid.matrix != transported.matrix:
             ces.append({"check": "T_w0 braid-product vs transport",
                         "detail": "matrices differ"})

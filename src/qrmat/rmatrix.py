@@ -1,11 +1,12 @@
 """Exact R-matrices on tensor products, three independent ways.
 
 A BasedModule is a module with a chosen global basis, materialized as one
-highest weight pin per irreducible summand plus an embedding of the abstract
-V_nu into the summand.  based_tensor produces the canonical based structure
-on a tensor product: each pin is the isotypic projection of
-(left hw pin) (x) (right global basis element) for the elements singled out
-by the highest weight vertices of the combinatorial pair crystal.
+highest weight pin per irreducible summand; the embedding of the abstract
+V_nu into the summand follows from the pin.  based_tensor produces the
+canonical based structure on a tensor product: each pin is the isotypic
+projection of (left hw pin) (x) (right global basis element) for the
+elements singled out by the highest weight vertices of the combinatorial
+pair crystal.
 
 The three constructions:
 
@@ -27,13 +28,14 @@ left to the tests as an independent oracle.
 
 Every built object has one owner and lives as long as it does.  The
 Cartan datum owns each V_nu, and a module its crystal graph, global basis,
-weight splits and tensor products with right factors, all in the owner's
-one store (uqmod.derived).  A factor whose pin the scaling checks rescale
-by z reads that one global basis through the embedding z times the
-identity, so no crystal or global basis is built twice.  A summand of a
-based tensor product reads its V_nu and that module's global basis on
-first use (BasedComponent.ref, ref_gb), so r_theta, which reads neither,
-builds and verifies neither.
+weight splits, tensor products with right factors and its based
+irreducible, all in the owner's one store (uqmod.derived).  A based
+summand is its module, weight and pin; it derives its V_nu, that
+module's global basis and its embedding into the module in its own store,
+on first read, so r_theta, which reads only the right factor's basis,
+builds and verifies no other.  A factor whose pin the scaling checks
+rescale by z reads its module's one global basis through its embedding,
+z times the identity, so no crystal or global basis is built twice.
 A based module owns the maps of every system transported on it
 (system_on, keyed by the system's name: Theta, Gamma, bar) and, weakly
 keyed by the right factor so that each dies with either factor, its
@@ -54,7 +56,7 @@ from .qscalar import ONE, ZERO, FieldElement
 from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
                        k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
                        transport)
-from .uqmod import (InternalConsistencyError, Module, kron_vec,
+from .uqmod import (InternalConsistencyError, Module, derived, kron_vec,
                     make_irreducible, summand_order_key, tensor, weight_split)
 
 WeightT = Tuple[int, ...]
@@ -65,49 +67,43 @@ WeightT = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 class BasedComponent:
-    """One irreducible summand: its weight, its highest global basis
-    element inside the ambient module, and the intertwiner from the
-    abstract V_nu (basis-aligned with ref_gb) into the ambient module.
-
-    ref, the datum's V_nu, its global basis ref_gb and embed are built on
-    first read unless given, and kept on the component; a summand whose
-    basis no request reads never builds or verifies them.
+    """One irreducible summand: its module, its weight nu and its pin, the
+    highest global basis element inside the module.  The rest follows
+    from the pin: the datum's V_nu (ref), that module's global basis
+    (ref_gb) and the intertwiner from V_nu into the module (embed), each
+    built on first read and kept on the component; a summand whose basis
+    no request reads never builds or verifies them.
     """
 
-    def __init__(self, module: Module, nu: WeightT, hw_vec: Vec,
-                 ref: Optional[Module] = None,
-                 ref_gb: Optional[GlobalBasis] = None,
-                 embed: Optional[SparseMatrix] = None):
+    def __init__(self, module: Module, nu: WeightT, hw_vec: Vec):
         self.module = module
         self.nu = tuple(int(x) for x in nu)
         self.hw_vec = hw_vec
-        self._ref = ref
-        self._ref_gb = ref_gb
-        self._embed = embed
+        self._derived: dict = {}
 
     @property
+    @derived
     def ref(self) -> Module:
-        if self._ref is None:
-            self._ref = make_irreducible(self.module.cartan, self.nu)
-        return self._ref
+        return make_irreducible(self.module.cartan, self.nu)
 
     @property
+    @derived
     def ref_gb(self) -> GlobalBasis:
-        if self._ref_gb is None:
-            self._ref_gb = compute_global_basis(self.ref)
-        return self._ref_gb
+        return compute_global_basis(self.ref)
 
     @property
+    @derived
     def embed(self) -> SparseMatrix:
-        if self._embed is None:
-            cols = [self.module.apply_f_word(wd, self.hw_vec)
-                    for wd in self.ref.words]
-            phi = SparseMatrix.from_columns(cols, self.module.dim)
-            if _intertwiner_failures(phi, self.ref, self.module):
-                raise InternalConsistencyError(
-                    "component embedding is not an intertwiner")
-            self._embed = phi
-        return self._embed
+        """The intertwiner V_nu -> module sending each F-word of V_nu's pin
+        to that F-word of this pin: the identity at a factor's own pin, z
+        times it at z b_lambda."""
+        cols = [self.module.apply_f_word(wd, self.hw_vec)
+                for wd in self.ref.words]
+        phi = SparseMatrix.from_columns(cols, self.module.dim)
+        if _intertwiner_failures(phi, self.ref, self.module):
+            raise InternalConsistencyError(
+                "component embedding is not an intertwiner")
+        return phi
 
     def basis_element(self, vertex: int) -> Vec:
         """The global basis element of this summand at a crystal vertex."""
@@ -142,12 +138,15 @@ class BasedModule:
         return f"BasedModule({self.describe()}, dim={self.module.dim})"
 
 
+def _based_at(m: Module, pin: Vec) -> BasedModule:
+    """The irreducible m based at a multiple of its highest weight vector."""
+    return BasedModule(m, [BasedComponent(m, m.weights[m.hw_index], pin)])
+
+
+@derived
 def based_irreducible(m: Module) -> BasedModule:
-    gb = compute_global_basis(m)
-    nu = m.weights[m.hw_index]
-    comp = BasedComponent(m, nu, gb.hw_vec, m, gb,
-                          embed=SparseMatrix.identity(m.dim))
-    return BasedModule(m, [comp])
+    """The irreducible m based at its own pin, built once and kept on m."""
+    return _based_at(m, m.hw_vector())
 
 
 def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
@@ -514,8 +513,10 @@ RESCALE_COEFFS: Tuple[FieldElement, ...] = (
 
 
 def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
-    """The irreducible m based at the pin z b_lambda: the module's one
-    global basis, embedded by z times the identity.
+    """The irreducible m based at the pin z b_lambda.  Its embedding sends
+    the F-words of b_lambda to those of z b_lambda, so it is z times the
+    identity, and its basis elements are the module's one global basis
+    read through it, z G(b).
 
     The global basis of the pin z v (v = b_lambda) is z G(b).  G(b) is
     fixed by the bar involution, lies in the crystal lattice L of v with
@@ -526,10 +527,7 @@ def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
     z G(b) is integral over z v.  These four conditions determine the
     element, so z G(b) is the basis element of the pin z v at vertex b.
     """
-    gb = compute_global_basis(m)
-    comp = BasedComponent(m, m.weights[m.hw_index], v_scale(gb.hw_vec, z),
-                          m, gb, embed=SparseMatrix.identity(m.dim).scale(z))
-    return BasedModule(m, [comp])
+    return _based_at(m, v_scale(m.hw_vector(), z))
 
 
 def check_method_agreement(bl: BasedModule, br: BasedModule,
@@ -556,8 +554,8 @@ def check_scaling(bl: BasedModule, br: BasedModule) -> CheckReport:
     component Theta scales by exactly z/bar(z).  Entries are canonical, so
     equal matrices serialize to the same bytes."""
     base = r_theta(bl, br).matrix
-    redo = r_theta(based_irreducible(bl.module),
-                   based_irreducible(br.module))
+    redo = r_theta(_based_at(bl.module, bl.module.hw_vector()),
+                   _based_at(br.module, br.module.hw_vector()))
     ces = _matrix_counterexamples("rebuild determinism", redo.matrix, base)
     theta = theta_spec()
     theta_base = {"left": system_on(bl, theta), "right": system_on(br, theta)}

@@ -448,7 +448,7 @@ def calibrate_braid_variant(cd: CartanDatum) -> None:
             "braid operators violate the braid relations on V_{omega_1}")
     gb = compute_global_basis(probe)
     if not v_eq(_braid_product(probe).apply(gb.elements[gb.low_vertex]),
-                gb.hw_vec):
+                probe.hw_vector()):
         raise InternalConsistencyError(
             "braid-product T_w0 does not send the lowest global basis "
             "element of V_{omega_1} to the highest")

@@ -18,10 +18,11 @@ Tensor products use the coproduct
 with basis ordered pairs, left factor major.
 
 What a module or a datum derives (K_i powers, divided powers, weight
-splits, tensor products, V_lambda, and in bases and sysmorph its strings,
-crystal operators, crystal graph, global basis, braid operators and T_w0)
-is kept on it by one decorator, derived, in the one store its class
-declares.
+splits, tensor products, V_lambda; in bases and sysmorph its strings,
+crystal operators, crystal graph, global basis, braid operators and T_w0;
+in rmatrix its based irreducible, and a based summand's V_nu, global
+basis and embedding) is kept on it by one decorator, derived, in the one
+store its class declares.
 """
 
 from __future__ import annotations

@@ -209,7 +209,7 @@ def test_criterion_09_module_relations_and_tw0_routes():
         braid = make_Tw0(m)
         gb = compute_global_basis(m)
         transported = transport(m, tw0_spec(), gb.elements[gb.low_vertex],
-                                gb.hw_vec)
+                                m.hw_vector())
         if braid.matrix != transported.matrix:
             problems.append((label, hw, "T_w0 braid != transport"))
     for label, lam, mu in PAIRS:

@@ -450,8 +450,7 @@ def test_global_basis_with_a_repeated_element_raises():
     gb = compute_global_basis(make_irreducible(A2, (1, 0)))
     elements = [gb.elements[0]] + gb.elements[:-1]
     with pytest.raises(InternalConsistencyError, match="linearly dependent"):
-        GlobalBasis(gb.module, gb.crystal, elements, gb.hw_vec,
-                    gb.monomial_words)
+        GlobalBasis(gb.module, gb.crystal, elements, gb.monomial_words)
 
 
 def test_string_matrix_is_factored_once_per_module_and_node(monkeypatch):

@@ -17,15 +17,27 @@ from qrmat.cartan import CartanDatum, CartanError, make_cartan
 F = Fraction
 
 
+def left_reflect(cd: CartanDatum, i: int, mat):
+    """Matrix of s_i composed with mat: each column reflected by s_i."""
+    return tuple(zip(*(cd.reflect(i, col) for col in zip(*mat))))
+
+
+def apply_matrix(mat, wt):
+    return tuple(sum(x * y for x, y in zip(row, wt)) for row in mat)
+
+
+def identity(cd: CartanDatum):
+    return tuple(tuple(F(int(i == j)) for j in range(cd.n)) for i in range(cd.n))
+
+
 def weyl_group(cd: CartanDatum):
     """All Weyl-group elements as weight-coordinate matrices, by BFS closure."""
-    ident = tuple(tuple(F(int(i == j)) for j in range(cd.n)) for i in range(cd.n))
-    seen = {ident}
-    frontier = [ident]
+    seen = {identity(cd)}
+    frontier = list(seen)
     while frontier:
         m = frontier.pop()
         for i in range(cd.n):
-            nm = cd._left_reflect(i, m)
+            nm = left_reflect(cd, i, m)
             if nm not in seen:
                 seen.add(nm)
                 frontier.append(nm)
@@ -36,7 +48,7 @@ def longest_by_roots(cd: CartanDatum):
     """The unique element sending every simple root to a negative root."""
     out = []
     for m in weyl_group(cd):
-        if all(all(c <= 0 for c in cd.root_coefficients(cd._apply_matrix(m, cd.alpha(i))))
+        if all(all(c <= 0 for c in cd.root_coefficients(apply_matrix(m, cd.alpha(i))))
                for i in range(cd.n)):
             out.append(m)
     assert len(out) == 1
@@ -94,12 +106,13 @@ def test_a3_datum():
 def test_w0_matches_enumeration_oracle(label):
     cd = make_cartan(label)
     w0 = longest_by_roots(cd)
-    assert w0 == cd._w0_matrix
+    for k in range(cd.n):
+        omega = tuple(F(int(j == k)) for j in range(cd.n))
+        assert cd.apply_w0(omega) == apply_matrix(w0, omega)
     # the stored reduced word multiplies out to w0 and has full length
-    ident = cd._identity()
-    m = ident
+    m = identity(cd)
     for i in reversed(cd.w0_word):
-        m = cd._left_reflect(i, m)
+        m = left_reflect(cd, i, m)
     assert m == w0
     assert len(cd.w0_word) == len(cd.positive_roots())
     # w0 is an involution

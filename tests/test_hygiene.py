@@ -12,7 +12,8 @@ no module keys anything by object identity or holds an assert statement,
 which python -O would strip from its self-checks; and no module reaches
 a private attribute of a class defined in another module, so each layer
 keeps what it builds in the one store its owner declares, _derived, which
-nothing but the decorator uqmod.derived reads or writes.  A
+nothing but the decorator uqmod.derived reads or writes; every cache
+written by hand instead is listed below with its reason.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
@@ -70,8 +71,19 @@ PROCESS_STATE = {
                                   "certified; one entry per matrix",
     "cli._cartans": "one Cartan datum per type label; it owns the modules "
                     "built on it",
-    "cli._based_cache": "the command line's based irreducibles by type "
-                        "label and highest weight",
+}
+
+# get-or-build caches written by hand instead of through uqmod.derived
+HAND_CACHES = {
+    "BasedModule._tensors": "based tensor products weakly keyed by the "
+                            "right factor, so each dies with either factor",
+    "CrystalGraph._pairs": "pair crystals weakly keyed by the right factor, "
+                           "so each dies with either factor",
+    "BasedModule._maps": "transported systems keyed by the system's name; "
+                         "a MorphismSpec is rebuilt on every call, so it "
+                         "cannot be a derived key",
+    "BasedModule._braiding": "the braiding of a based tensor product, set "
+                             "by rmatrix.braiding, which takes both factors",
 }
 
 
@@ -409,3 +421,56 @@ def test_only_uqmod_derived_reads_or_writes_an_owners_store():
     # an owner declares its store; what goes in and comes out passes
     # through the one decorator, so no object has a second cache path
     assert _store_touches() == []
+
+
+def _hand_caches():
+    """"<class>.<attribute>" of each get-or-build written by hand: an
+    underscore attribute that one function reads with .get( or compares
+    with None, and assigns or item-assigns; the class is the one that
+    assigns the attribute on self.  uqmod.derived, the one sanctioned
+    get-or-build, is left out."""
+    owner, found = {}, set()
+    for path, tree in _trees(PACKAGE):
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                owner.update((node.attr, cls.name) for node in ast.walk(cls)
+                             if isinstance(node, ast.Attribute)
+                             and isinstance(node.ctx, ast.Store)
+                             and isinstance(node.value, ast.Name)
+                             and node.value.id == "self")
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or (
+                    os.path.basename(path) == "uqmod.py"
+                    and fn.name == "derived"):
+                continue
+            read, written = set(), set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "get" \
+                        and isinstance(node.func.value, ast.Attribute):
+                    read.add(node.func.value.attr)
+                elif isinstance(node, ast.Compare) \
+                        and isinstance(node.left, ast.Attribute) \
+                        and any(isinstance(c, ast.Constant) and c.value is None
+                                for c in node.comparators):
+                    read.add(node.left.attr)
+                elif isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store):
+                    written.add(node.attr)
+                elif isinstance(node, ast.Subscript) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Attribute):
+                    written.add(node.value.attr)
+            found.update(attr for attr in read & written
+                         if attr.startswith("_") and not attr.startswith("__"))
+    return {f"{owner.get(attr, '?')}.{attr}" for attr in found}
+
+
+def test_every_hand_written_cache_is_listed():
+    assert sorted(_hand_caches() - set(HAND_CACHES)) == []
+
+
+def test_hand_cache_list_names_only_hand_written_caches():
+    # a listed cache that moves into uqmod.derived leaves the list
+    assert set(HAND_CACHES) <= _hand_caches()

@@ -10,7 +10,7 @@ import pytest
 
 from qrmat import bases, rmatrix, uqmod
 from qrmat.cartan import make_cartan
-from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq, v_scale
+from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq
 from qrmat.qscalar import ONE, FieldElement
 from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            based_tensor, braiding,
@@ -99,20 +99,50 @@ def test_pins_are_highest_weight_and_embeddings_intertwine():
 
 
 def test_summand_global_bases_are_built_on_first_read(monkeypatch):
-    # r_theta reads only the summand pins; the lemma identities read every
-    # summand's basis (Gamma's pin and the Theta eigenvalue rows)
+    # r_theta reads the right factor's basis, for the tensor pins, and
+    # only the summand pins of the tensor product; the lemma identities
+    # read every summand's basis (the Theta eigenvalue rows)
     cd = make_cartan("B2")
-    bl = based_irreducible(make_irreducible(cd, (1, 0)))
-    br = based_irreducible(make_irreducible(cd, (0, 1)))
     built = []
     real = rmatrix.compute_global_basis
     monkeypatch.setattr(rmatrix, "compute_global_basis",
                         lambda m: built.append(m) or real(m))
+    bl = based_irreducible(make_irreducible(cd, (1, 0)))
+    br = based_irreducible(make_irreducible(cd, (0, 1)))
     r_theta(bl, br)
-    assert built == []
+    assert built == [br.module]
     bt = based_tensor(bl, br)
     assert check_lemma_identities(bt).passed
-    assert built == [c.ref for c in bt.components]
+    assert built == [br.module] + [c.ref for c in bt.components]
+
+
+def test_equal_factors_share_one_based_module_and_theta(monkeypatch):
+    # one based module per module, so r_theta(b, b) transports Theta on
+    # it once and once on the tensor product
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return transport(*args)
+
+    monkeypatch.setattr(rmatrix, "transport", counting)
+    m = make_irreducible(make_cartan("A2"), (1, 0))
+    assert based_irreducible(m) is based_irreducible(m)
+    r_theta(based_irreducible(m), based_irreducible(m))
+    assert calls == [m, tensor(m, m)]
+
+
+@pytest.mark.parametrize("label,hw", [
+    ("A1", (1,)), ("A1", (2,)), ("A2", (1, 0)), ("A2", (0, 1)),
+    ("A2", (1, 1)), ("B2", (1, 0)), ("B2", (0, 1)), ("G2", (0, 1)),
+    ("G2", (1, 0))])
+def test_factor_embedding_is_the_pin_scale_times_the_identity(label, hw):
+    m = make_irreducible(CARTANS[label], hw)
+    comp, = based_irreducible(m).components
+    assert comp.embed == SparseMatrix.identity(m.dim)
+    for z in rmatrix.RESCALE_COEFFS:
+        comp, = rmatrix._rescaled_factor(m, z).components
+        assert comp.embed == SparseMatrix.identity(m.dim).scale(z)
 
 
 def test_based_tensor_is_cached_per_factor_pair():
@@ -122,7 +152,7 @@ def test_based_tensor_is_cached_per_factor_pair():
 
 def test_based_tensor_and_braiding_die_with_a_factor():
     bl = based_of("A1", (1,))
-    br = based_irreducible(bl.module)
+    br = rmatrix._based_at(bl.module, bl.module.hw_vector())
     bt = weakref.ref(based_tensor(bl, br))
 
     def kept_matrices():
@@ -309,9 +339,11 @@ def test_theta_commutor_is_flip_after_r_theta():
 def test_identity_system_flip_fails_to_intertwine(monkeypatch):
     # with r_theta replaced by the identity the braiding is the bare Flip,
     # the commutor of the identity system, which fails to intertwine on
-    # generic pairs; fresh factors keep a kept braiding from answering
-    bl = based_irreducible(make_irreducible(A1, (1,)))
-    br = based_irreducible(make_irreducible(A1, (2,)))
+    # generic pairs; factors on a fresh datum keep a kept braiding from
+    # answering
+    a1 = make_cartan("A1")
+    bl = based_irreducible(make_irreducible(a1, (1,)))
+    br = based_irreducible(make_irreducible(a1, (2,)))
     monkeypatch.setattr(rmatrix, "r_theta", lambda left, right: RMatrixResult(
         SparseMatrix.identity(left.module.dim * right.module.dim),
         "identity", left, right))
@@ -346,7 +378,7 @@ def test_system_on_transports_once_and_keeps_the_map(monkeypatch):
         return transport(*args)
 
     monkeypatch.setattr(rmatrix, "transport", counting)
-    bm = based_irreducible(make_irreducible(A1, (2,)))
+    bm = based_irreducible(make_irreducible(make_cartan("A1"), (2,)))
     first = system_on(bm, theta_spec())
     assert system_on(bm, theta_spec()) is first
     assert calls == ["theta"]
@@ -461,13 +493,15 @@ def test_warm_scaling_checks_build_no_crystal_or_global_basis(monkeypatch):
 def test_scaled_pin_with_an_unscaled_embedding_fails_scaling(monkeypatch):
     # the pin alone rescaled: the right factor's basis elements, and with
     # them the tensor pins, stay put while its Theta twists by z / bar(z)
-    def pin_only(m, z):
-        comp, = based_irreducible(m).components
-        return rmatrix.BasedModule(m, [rmatrix.BasedComponent(
-            m, comp.nu, v_scale(comp.hw_vec, z), m, comp.ref_gb,
-            comp.embed)])
+    real = rmatrix.BasedComponent.embed.fget
 
-    monkeypatch.setattr(rmatrix, "_rescaled_factor", pin_only)
+    def unscaled(c):
+        if c.module.hw_index is None:  # a tensor summand
+            return real(c)
+        return real(rmatrix.BasedComponent(c.module, c.nu,
+                                           c.module.hw_vector()))
+
+    monkeypatch.setattr(rmatrix.BasedComponent, "embed", property(unscaled))
     rep = check_scaling(based_of("A1", (1,)), based_of("A1", (2,)))
     assert not rep.passed
     assert {ce["check"].split(" by ")[0] for ce in rep.counterexamples} \

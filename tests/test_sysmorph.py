@@ -102,7 +102,8 @@ def test_tw0_sends_lowest_to_highest_with_unit_coefficient():
     for label, hw in ACCEPTANCE_MODULES:
         gb = gb_of(label, hw)
         tw0 = make_Tw0(gb.module)
-        assert v_eq(tw0.apply(gb.elements[gb.low_vertex]), gb.hw_vec), (label, hw)
+        assert v_eq(tw0.apply(gb.elements[gb.low_vertex]),
+                    gb.module.hw_vector()), (label, hw)
 
 
 # -- the identity chain relating gamma, theta, bar, J, T_w0 ------------------
@@ -267,7 +268,7 @@ def test_braid_product_tw0_equals_transported_tw0(label, hw):
     low = gb.elements[gb.low_vertex]
     # F kills the lowest pin, so only transport's E fallback leaves it
     assert all(m.F[i].apply(low) == {} for i in range(m.cartan.n))
-    assert make_Tw0(m) == transport(m, tw0_spec(), low, gb.hw_vec)
+    assert make_Tw0(m) == transport(m, tw0_spec(), low, m.hw_vector())
 
 
 def test_tw0_braid_product_works_on_tensor_modules():

@@ -12,12 +12,13 @@ from fractions import Fraction
 
 import pytest
 
-from qrmat import cli
+from qrmat import cli, uqmod
 from qrmat.bases import (compute_global_basis, crystal_graph,
                          kashiwara_operators, string_chains)
 from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_is_zero, v_scale, v_sub
 from qrmat.qscalar import ONE, FieldElement, Q, q_int
+from qrmat.rmatrix import based_irreducible, based_tensor
 from qrmat.sysmorph import braid_operator, make_Tw0
 from qrmat.uqmod import (
     InternalConsistencyError,
@@ -161,7 +162,8 @@ def v10(cd):
 
 
 # every kind of object a datum or a module derives and keeps, built from a
-# datum; a map keeps its inverse and a lattice frame its inverse
+# datum; a map keeps its inverse, a lattice frame its inverse and a based
+# summand its embedding
 DERIVED = {
     "irreducible": v10,
     "k_i": lambda cd: v10(cd).k_i(0, -1),
@@ -177,6 +179,10 @@ DERIVED = {
     "global_basis": lambda cd: compute_global_basis(v10(cd)),
     "frame_inverse":
         lambda cd: crystal_graph(v10(cd)).frames[(1, 0)]._inverse(),
+    "based_irreducible": lambda cd: based_irreducible(v10(cd)),
+    "summand_embedding": lambda cd: based_tensor(
+        based_irreducible(v10(cd)),
+        based_irreducible(v10(cd))).components[-1].embed,
 }
 
 
@@ -226,8 +232,7 @@ def test_shared_k_powers_survive_a_verify_suite():
         for suite in ("method-agreement", "ybe", "gamma-lemma"):
             assert cli.main(["verify", "--type", "B2", "--hw", "1,0",
                              "--hw", "0,1", "--suite", suite]) == 0
-    todo = [bm.module for (label, _), bm in cli._based_cache.items()
-            if label == "B2"]
+    todo = list(kept_by(cli._cartans["B2"], uqmod._irreducible).values())
     seen = []
     while todo:
         m = todo.pop()
