@@ -247,6 +247,26 @@ class SparseMatrix:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
 
 
+def diagonal_square_columns(a: SparseMatrix, d1: SparseMatrix,
+                            d2: SparseMatrix) -> List[int]:
+    """The columns, ascending, at which A D1 and D2 A differ, for diagonal
+    D1 and D2, with no product formed.
+
+    (A D1)_rc = A_rc D1_cc and (D2 A)_rc = D2_rr A_rc, so the two differ
+    at (r, c) by A_rc (D1_cc - D2_rr), which is nonzero exactly when
+    A_rc != 0 and D1_cc != D2_rr, since a field has no zero divisors.  A
+    stores only its nonzero entries, and a diagonal entry that is not
+    stored is zero.
+    """
+    def diag(d: SparseMatrix, i: int) -> FieldElement:
+        return d.rows.get(i, {}).get(i, ZERO)
+    bad = set()
+    for r, row in a.rows.items():
+        x = diag(d2, r)
+        bad.update(c for c in row if diag(d1, c) != x)
+    return sorted(bad)
+
+
 # -- sparse Gauss-Jordan core --------------------------------------------------
 
 def _eliminate(row: Vec, f: FieldElement, prow: Vec) -> None:

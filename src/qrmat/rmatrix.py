@@ -37,9 +37,14 @@ builds and verifies no other.  A factor whose pin the scaling checks
 rescale by z reads its module's one global basis through its embedding,
 z times the identity, so no crystal or global basis is built twice.
 A based module owns the maps of every system transported on it
-(system_on, keyed by the system's name: Theta, Gamma, bar) and, weakly
-keyed by the right factor so that each dies with either factor, its
-based tensor products; a based tensor product owns its braiding.
+(system_on, in its store, keyed by the system: Theta, Gamma, bar and the
+wrong-sign Theta of the negative control) and, weakly keyed by the right
+factor so that each dies with either factor, its based tensor products;
+a based tensor product owns its braiding.  The module under a based
+module owns the sides of each system's compatibility squares
+(sysmorph.generator_sides), so the based modules that the scaling and
+method-agreement checks rebuild on one module transport against sides
+built once.
 Nothing is keyed by object identity at module level, so objects a caller
 drops are freed.
 """
@@ -50,12 +55,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, inverse, rref, v_clean, v_eq,
-                     v_is_zero, v_scale)
+from .linalg import (SparseMatrix, Vec, diagonal_square_columns, inverse,
+                     rref, v_clean, v_eq, v_is_zero, v_scale)
 from .qscalar import ONE, ZERO, FieldElement
 from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
-                       k_2rho, make_J, make_Tw0, theta_exponent, theta_spec,
-                       transport)
+                       k_2rho, make_J, make_Tw0, theta_spec, transport)
 from .uqmod import (InternalConsistencyError, Module, derived, kron_vec,
                     make_irreducible, summand_order_key, tensor, weight_split)
 
@@ -119,7 +123,7 @@ class BasedModule:
     def __init__(self, module: Module, components: List[BasedComponent]):
         self.module = module
         self.components = components
-        self._maps: Dict[str, TransportedMap] = {}
+        self._derived: dict = {}
         # based tensor products with this left factor, weakly keyed by the
         # right factor so that each dies with either of its factors
         self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -203,17 +207,13 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
 # Transported systems on based modules
 # ---------------------------------------------------------------------------
 
+@derived
 def system_on(bm: BasedModule, spec: MorphismSpec) -> TransportedMap:
     """The map of the system spec on a based module: transported from each
-    summand pin to spec.pin of that summand, and kept on the based module
-    under the system's name."""
-    tmap = bm._maps.get(spec.name)
-    if tmap is None:
-        tmap = transport(bm.module, spec,
-                         [c.hw_vec for c in bm.components],
-                         [spec.pin(c) for c in bm.components])
-        bm._maps[spec.name] = tmap
-    return tmap
+    summand pin to spec.pin of that summand, and kept on the based module,
+    keyed by the system."""
+    return transport(bm.module, spec, [c.hw_vec for c in bm.components],
+                     [spec.pin(c) for c in bm.components])
 
 
 def tensor_of_maps(t1: TransportedMap, t2: TransportedMap,
@@ -250,16 +250,21 @@ def flip_matrix(dl: int, dr: int) -> SparseMatrix:
 
 
 def _generator_pairs(src: Module, dst: Module):
+    """(label, source action, target action, both diagonal) per generator."""
     for i in range(src.cartan.n):
-        yield f"E_{i + 1}", src.E[i], dst.E[i]
-        yield f"F_{i + 1}", src.F[i], dst.F[i]
-        yield f"K_{i + 1}", src.k_i(i, 1), dst.k_i(i, 1)
+        yield f"E_{i + 1}", src.E[i], dst.E[i], False
+        yield f"F_{i + 1}", src.F[i], dst.F[i], False
+        yield f"K_{i + 1}", src.k_i(i, 1), dst.k_i(i, 1), True
 
 
 def _intertwiner_failures(mat: SparseMatrix, src: Module, dst: Module,
                           limit: int = 3) -> List[dict]:
+    """The first limit cells where mat X_src != X_dst mat; a K square is
+    multiplied out only where its diagonal decision finds a failure."""
     out: List[dict] = []
-    for label, s_mat, d_mat in _generator_pairs(src, dst):
+    for label, s_mat, d_mat, diagonal in _generator_pairs(src, dst):
+        if diagonal and not diagonal_square_columns(mat, s_mat, d_mat):
+            continue
         out.extend(_matrix_counterexamples(
             f"intertwiner {label}", mat @ s_mat, d_mat @ mat, limit))
         if len(out) >= limit:
@@ -717,7 +722,8 @@ def check_lemma_identities(bm: BasedModule) -> CheckReport:
         for vertex in range(comp.ref_gb.crystal.size):
             b = comp.basis_element(vertex)
             mu = m.weights[next(iter(b))]
-            want = v_scale(b, FieldElement.q_power(theta_exponent(cd, mu)))
+            e = -cd.bilinear(mu, mu) / 2 + cd.bilinear(mu, cd.rho)
+            want = v_scale(b, FieldElement.q_power(e))
             got = theta.apply(b)
             if not v_eq(got, want):
                 ces.append({"check": "Theta global basis eigenvalue",

@@ -2,14 +2,21 @@
 
 A MorphismSpec is a whole system of weight-preserving endomorphisms, one
 per based module: how an algebra morphism C acts on the generators E_i,
-F_i, K_i, whether it is q-linear or bar-linear, how it meets the
-coproduct, and the value it takes on each summand's highest weight pin.
-A TransportedMap is the unique endomorphism T of a module satisfying
-T(X v) = C(X) T(v) for all generators X, pinned by its value on one cyclic
-vector per component.  transport propagates the pins along F-words, and
-along E-words only where F stalls, solves for the matrix in one elimination
-that also checks every propagated pair, and reverifies the compatibility
-square on every generator before returning.
+F_i, K_i, whether it is q-linear or bar-linear, and the value it takes on
+each summand's highest weight pin.  A system is known by its name: two
+specs of one name are one system, so a system keys what a module derives
+from it.  A TransportedMap is the unique endomorphism T of a module
+satisfying T(X v) = C(X) T(v) for all generators X, pinned by its value
+on one cyclic vector per component.  transport propagates the pins along
+F-words, and along E-words only where F stalls, solves for the matrix in
+one elimination that also checks every propagated pair, and reverifies
+the compatibility square on every generator before returning.
+
+Both read the sides of the squares from generator_sides, which each
+module derives once per system: the source side X (bar(X) for a
+bar-linear system, from the module's one _barred_generators) and the image
+C(X) of every E_i and F_i, and the two diagonals of every K_i square.
+The K rows need no product (see diagonal_square_columns in linalg).
 
 Bar-linear maps are stored as (matrix, flag) with the convention "apply
 coefficient-wise bar first, then the matrix"; composing two bar-linear maps
@@ -28,8 +35,8 @@ from typing import (Any, Callable, Iterator, List, Optional, Sequence, Set,
 
 from .bases import compute_global_basis, operator_from_strings
 from .cartan import CartanDatum
-from .linalg import (Echelon, SparseMatrix, Vec, inverse, v_bar, v_clean,
-                     v_eq, v_is_zero, v_scale)
+from .linalg import (Echelon, SparseMatrix, Vec, diagonal_square_columns,
+                     inverse, v_bar, v_clean, v_eq, v_is_zero, v_scale)
 from .qscalar import FieldElement
 from .uqmod import (InternalConsistencyError, Module,
                     ModuleConstructionError, derived, make_irreducible)
@@ -44,13 +51,15 @@ class MorphismSpec:
     """A system of module maps: generator images of an algebra morphism,
     its linearity and its pin values.
 
-    pin gives the map's value on a based summand's highest weight pin, or
-    is None for a morphism transported only from explicit pins.
+    e_image, f_image and k_image give C(E_i), C(F_i) and C(K_i) on a
+    module; pin gives the map's value on a based summand's highest weight
+    pin, or is None for a morphism transported only from explicit pins.
+    The name is the system: specs compare and hash by it, so every call
+    of a factory below gives one key.
     """
 
     def __init__(self, name: str, bar_linear: bool,
-                 e_image: ImageFn, f_image: ImageFn,
-                 k_image: Callable[[Module, int, int], SparseMatrix],
+                 e_image: ImageFn, f_image: ImageFn, k_image: ImageFn,
                  pin: Optional[PinFn] = None):
         self.name = name
         self.bar_linear = bar_linear
@@ -58,6 +67,12 @@ class MorphismSpec:
         self.f_image = f_image
         self.k_image = k_image
         self.pin = pin
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MorphismSpec) and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def __repr__(self):
         kind = "bar-linear" if self.bar_linear else "q-linear"
@@ -74,7 +89,7 @@ def identity_spec() -> MorphismSpec:
         "identity", False,
         lambda m, i: m.E[i],
         lambda m, i: m.F[i],
-        lambda m, i, p: m.k_i(i, p),
+        lambda m, i: m.k_i(i, 1),
         pin=_hw_pin)
 
 
@@ -86,12 +101,14 @@ def bar_spec() -> MorphismSpec:
         "bar", True,
         lambda m, i: m.E[i],
         lambda m, i: m.F[i],
-        lambda m, i, p: m.k_i(i, -p),
+        lambda m, i: m.k_i(i, -1),
         pin=_hw_pin)
 
 
-def theta_exponent(cd: CartanDatum, nu: Sequence) -> Fraction:
-    """-(nu,nu)/2 + (nu,rho): Theta's eigenvalue exponent on weight nu."""
+@derived
+def theta_exponent(cd: CartanDatum, nu: Tuple[int, ...]) -> Fraction:
+    """-(nu,nu)/2 + (nu,rho): Theta's eigenvalue exponent on weight nu,
+    kept on the datum."""
     return -cd.bilinear(nu, nu) / 2 + cd.bilinear(nu, cd.rho)
 
 
@@ -115,7 +132,7 @@ def theta_spec(wrong_sign: bool = False) -> MorphismSpec:
         "theta-wrong-sign" if wrong_sign else "theta", True,
         lambda m, i: m.E[i] @ m.k_i(i, -1),
         lambda m, i: m.k_i(i, 1) @ m.F[i],
-        lambda m, i, p: m.k_i(i, -p),
+        lambda m, i: m.k_i(i, -1),
         pin=pin)
 
 
@@ -133,7 +150,7 @@ def gamma_spec() -> MorphismSpec:
 
     return MorphismSpec(
         "gamma", True, e_im, f_im,
-        lambda m, i, p: m.k_i(m.cartan.theta[i], p),
+        lambda m, i: m.k_i(m.cartan.theta[i], 1),
         pin=lambda c: c.lowest_element())
 
 
@@ -150,7 +167,7 @@ def tw0_spec() -> MorphismSpec:
 
     return MorphismSpec(
         "tw0", False, e_im, f_im,
-        lambda m, i, p: m.k_i(m.cartan.theta[i], -p))
+        lambda m, i: m.k_i(m.cartan.theta[i], -1))
 
 
 def j_spec() -> MorphismSpec:
@@ -159,7 +176,56 @@ def j_spec() -> MorphismSpec:
         "j", False,
         lambda m, i: m.k_i(i, 1) @ m.E[i],
         lambda m, i: m.F[i] @ m.k_i(i, -1),
-        lambda m, i, p: m.k_i(i, p))
+        lambda m, i: m.k_i(i, 1))
+
+
+@derived
+def _barred_generators(m: Module) -> Tuple[List[SparseMatrix],
+                                          List[SparseMatrix]]:
+    """bar(E_i) and bar(F_i), the source sides of every bar-linear system
+    on m; a generator whose entries are bar-invariant is its own bar."""
+    def barred(x: SparseMatrix) -> SparseMatrix:
+        b = x.bar_entries()
+        return x if b == x else b
+    n = m.cartan.n
+    return ([barred(m.E[i]) for i in range(n)],
+            [barred(m.F[i]) for i in range(n)])
+
+
+Sides = List[Tuple[SparseMatrix, SparseMatrix]]
+
+
+@derived
+def generator_sides(m: Module,
+                    spec: MorphismSpec) -> Tuple[Sides, Sides, Sides]:
+    """The sides of spec's compatibility squares A X' = C(X) A on m, built
+    once and kept on m; the one place that evaluates a system's generator
+    images.
+
+    A map with matrix A satisfies T(X v) = C(X) T(v) for all v exactly
+    when A X' = C(X) A, where X' is X for a q-linear system and bar(X) for
+    a bar-linear one (T(v) = A bar(v)).  Returns three lists over i: the
+    pairs (X', C(X)) of E_i, those of F_i, and the diagonal pairs
+    (K_i', C(K_i)).  K_i is diagonal in q-powers, so bar(K_i) is K_i^-1,
+    which the module already keeps, and no barred K is stored.  Raises
+    when C(K_i) is not diagonal, since the K rows are decided on the
+    diagonal.
+    """
+    n = m.cartan.n
+    if spec.bar_linear:
+        e_src, f_src = _barred_generators(m)
+    else:
+        e_src, f_src = m.E, m.F
+    k = []
+    for i in range(n):
+        img = spec.k_image(m, i)
+        if any(len(row) != 1 or r not in row for r, row in img.rows.items()):
+            raise InternalConsistencyError(
+                f"{spec.name} image of K_{i + 1} is not diagonal")
+        k.append((m.k_i(i, -1 if spec.bar_linear else 1), img))
+    return ([(e_src[i], spec.e_image(m, i)) for i in range(n)],
+            [(f_src[i], spec.f_image(m, i)) for i in range(n)],
+            k)
 
 
 class TransportedMap:
@@ -230,22 +296,28 @@ def verify_compatibility(tmap: TransportedMap,
 
     Yields one description per failing (generator, basis vector) pair,
     lazily: a caller stops checking where it stops reading.  Nothing
-    yielded means the compatibility square commutes.
+    yielded means the compatibility square commutes.  The sides are the
+    module's generator_sides of spec; the E and F squares are multiplied
+    out, the K squares decided on the diagonal without a product.
     """
+    if tmap.bar_linear != spec.bar_linear:
+        raise ValueError(f"{spec.name} wants a "
+                         f"{'bar' if spec.bar_linear else 'q'}-linear map")
     m = tmap.module
     a = tmap.matrix
+    e_sides, f_sides, k_sides = generator_sides(m, spec)
     for i in range(m.cartan.n):
-        for label, mat, img in (
-                (f"E_{i + 1}", m.E[i], spec.e_image(m, i)),
-                (f"F_{i + 1}", m.F[i], spec.f_image(m, i)),
-                (f"K_{i + 1}", m.k_i(i, 1), spec.k_image(m, i, 1))):
-            lhs = a @ (mat.bar_entries() if tmap.bar_linear else mat)
+        for label, (src, img) in ((f"E_{i + 1}", e_sides[i]),
+                                  (f"F_{i + 1}", f_sides[i])):
+            lhs = a @ src
             rhs = img @ a
             if lhs != rhs:
                 diff = lhs.sub(rhs)
                 bad = sorted({c for _, c, _ in diff.to_triplets()})
                 for col in bad:
                     yield f"{label} compatibility fails at basis vector {col}"
+        for col in diagonal_square_columns(a, *k_sides[i]):
+            yield f"K_{i + 1} compatibility fails at basis vector {col}"
 
 
 def _normalize_pins(v0, w0) -> List[Tuple[Vec, Vec]]:
@@ -269,25 +341,28 @@ def transport(m: Module, spec: MorphismSpec,
     source has met E and F and the span is short, transport raises.
     Every pair enters one incremental elimination as the row (source |
     target), with bar(source) for a bar-linear spec and the target in
-    columns dim + j.  Once the sources span, the kept rows are (I | A^T),
-    whichever pairs entered; a pair whose source reduces to zero but
-    leaves a target residual is inconsistent and raises.  The matrix is
-    then verified against the full compatibility square.
+    columns dim + j.  A bar-linear spec holds each source barred from
+    its pin on and moves it by the generator sides' bar(F_i) and
+    bar(E_i), since bar(X s) = bar(X) bar(s).  Once the sources span, the
+    kept rows are (I | A^T), whichever pairs entered; a pair whose source
+    reduces to zero but leaves a target residual is inconsistent and
+    raises.  The matrix is then verified against the full compatibility
+    square on the same sides (verify_compatibility).
     """
     pins = _normalize_pins(v0, w0)
     if not pins or any(v_is_zero(s) for s, _ in pins):
         raise ModuleConstructionError("transport wants nonzero pin sources")
-    f_gens = [(m.F[i], spec.f_image(m, i)) for i in range(m.cartan.n)]
-    e_gens = None  # built at the first stall; highest weight pins never do
+    e_sides, f_sides, _ = generator_sides(m, spec)
     dim = m.dim
     kept = Echelon()
-    pairs: List[Tuple[Vec, Vec]] = list(pins)
+    # (source, target), the source barred for a bar-linear spec
+    pairs: List[Tuple[Vec, Vec]] = [(v_bar(s) if spec.bar_linear else s, t)
+                                    for s, t in pins]
 
     def take(k: int) -> bool:
         """Enter pair k; True when its source is new to the span."""
         src, dst = pairs[k]
-        r = kept.reduce({**(v_bar(src) if spec.bar_linear else src),
-                         **{dim + j: x for j, x in dst.items()}})
+        r = kept.reduce({**src, **{dim + j: x for j, x in dst.items()}})
         if r and min(r) >= dim:
             raise InternalConsistencyError(
                 f"transport of {spec.name} is inconsistent on propagated "
@@ -300,11 +375,9 @@ def transport(m: Module, spec: MorphismSpec,
     spanned = len(f_todo)
     while spanned < dim:
         if f_todo:
-            frontier, gens, f_todo = f_todo, f_gens, []
+            frontier, gens, f_todo = f_todo, f_sides, []
         elif e_todo:
-            if e_gens is None:
-                e_gens = [(m.E[i], spec.e_image(m, i)) for i in range(m.cartan.n)]
-            frontier, gens, e_todo = e_todo, e_gens, []
+            frontier, gens, e_todo = e_todo, e_sides, []
         else:
             raise ModuleConstructionError(
                 "pins do not generate the module under the E/F action")

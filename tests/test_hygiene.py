@@ -19,7 +19,10 @@ when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
 defines it, names it; and no package module but qscalar names qscalar's
 private constructors, so every scalar product and sum elsewhere goes
-through the operators the benchmark counts.
+through the operators the benchmark counts.  A system's generator images
+(e_image, f_image, k_image) are evaluated only by the one builder of a
+module's compatibility-square sides, sysmorph.generator_sides, so no path
+multiplies them out again.
 """
 
 import ast
@@ -79,9 +82,6 @@ HAND_CACHES = {
                             "right factor, so each dies with either factor",
     "CrystalGraph._pairs": "pair crystals weakly keyed by the right factor, "
                            "so each dies with either factor",
-    "BasedModule._maps": "transported systems keyed by the system's name; "
-                         "a MorphismSpec is rebuilt on every call, so it "
-                         "cannot be a derived key",
     "BasedModule._braiding": "the braiding of a based tensor product, set "
                              "by rmatrix.braiding, which takes both factors",
 }
@@ -474,3 +474,36 @@ def test_every_hand_written_cache_is_listed():
 def test_hand_cache_list_names_only_hand_written_caches():
     # a listed cache that moves into uqmod.derived leaves the list
     assert set(HAND_CACHES) <= _hand_caches()
+
+
+IMAGE_FNS = {"e_image", "f_image", "k_image"}
+
+
+def _image_call_sites():
+    """(file, innermost enclosing function) of each call of a system's
+    generator image in the package."""
+    sites = []
+
+    def visit(node, path, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in IMAGE_FNS:
+            sites.append((os.path.basename(path), fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, fn)
+
+    for path, tree in _trees(PACKAGE):
+        visit(tree, path, None)
+    return sites
+
+
+def test_generator_images_are_evaluated_only_by_the_sides_builder():
+    sites = _image_call_sites()
+    builders = {(name, fn) for name, fn in sites}
+    assert len(sites) == len(IMAGE_FNS) and len(builders) == 1
+    (name, fn), = builders
+    assert (name, fn.name) == ("sysmorph.py", "generator_sides")
+    assert any(isinstance(d, ast.Name) and d.id == "derived"
+               for d in fn.decorator_list)

@@ -367,6 +367,27 @@ def test_flip_after_r_oracle_intertwines(label, lam, mu):
         tensor(br.module, bl.module)) == []
 
 
+@pytest.mark.parametrize("limit", [3, 50])
+def test_intertwiner_k_decision_matches_the_products(limit):
+    # a cell joining two weight spaces breaks the K squares; the diagonal
+    # decision must report exactly what the multiplied-out squares do
+    m = make_irreducible(A2, (1, 1))
+    r, c = next((r, c) for r in range(m.dim) for c in range(m.dim)
+                if m.weights[r] != m.weights[c])
+    rows = {i: {i: ONE} for i in range(m.dim)}
+    rows[r][c] = FieldElement.q_power(1)
+    mat = SparseMatrix(m.dim, m.dim, rows)
+    want = []
+    for i in range(m.cartan.n):
+        for label, x in ((f"E_{i + 1}", m.E[i]), (f"F_{i + 1}", m.F[i]),
+                         (f"K_{i + 1}", m.k_i(i, 1))):
+            want += rmatrix._matrix_counterexamples(
+                f"intertwiner {label}", mat @ x, x @ mat, limit)
+    got = rmatrix._intertwiner_failures(mat, m, m, limit)
+    assert got == want[:limit]
+    assert any(ce["check"].startswith("intertwiner K_") for ce in got)
+
+
 # -- systems on based modules -------------------------------------------------
 
 

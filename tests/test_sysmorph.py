@@ -11,9 +11,10 @@ from qrmat.cartan import make_cartan
 from qrmat.linalg import SparseMatrix, v_eq, v_scale
 from qrmat.qscalar import ONE, FieldElement
 from qrmat.rmatrix import based_irreducible, based_tensor, system_on
-from qrmat.sysmorph import (TransportedMap, bar_spec, braid_operator,
-                            braid_relations_hold, calibrate_braid_variant,
-                            gamma_spec, identity_spec, j_spec, k_2rho,
+from qrmat.sysmorph import (MorphismSpec, TransportedMap, bar_spec,
+                            braid_operator, braid_relations_hold,
+                            calibrate_braid_variant, gamma_spec,
+                            generator_sides, identity_spec, j_spec, k_2rho,
                             make_J, make_Tw0, theta_spec,
                             transport, tw0_spec, verify_compatibility)
 from qrmat.uqmod import (InternalConsistencyError,
@@ -378,6 +379,90 @@ def test_verify_compatibility_flags_tampered_weight_space():
     rows.setdefault(1, {})[1] = rows.get(1, {}).get(1, ONE - ONE) + qp(1)
     tampered = TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False)
     assert list(verify_compatibility(tampered, tw0_spec())) != []
+
+
+def _product_messages(tmap, spec):
+    """The compatibility failures as every square multiplied out, K rows
+    included: the oracle of the diagonal K decision."""
+    m, a = tmap.module, tmap.matrix
+    out = []
+    for i in range(m.cartan.n):
+        for label, mat, img in (
+                (f"E_{i + 1}", m.E[i], spec.e_image(m, i)),
+                (f"F_{i + 1}", m.F[i], spec.f_image(m, i)),
+                (f"K_{i + 1}", m.k_i(i, 1), spec.k_image(m, i))):
+            lhs = a @ (mat.bar_entries() if tmap.bar_linear else mat)
+            rhs = img @ a
+            bad = sorted({c for _, c, _ in lhs.sub(rhs).to_triplets()})
+            out += [f"{label} compatibility fails at basis vector {c}"
+                    for c in bad]
+    return out
+
+
+def _across_weights(tmap):
+    """tmap plus q at one cell joining two weight spaces."""
+    m = tmap.module
+    r, c = next((r, c) for r in range(m.dim) for c in range(m.dim)
+                if m.weights[r] != m.weights[c])
+    rows = {r2: dict(row) for r2, row in tmap.matrix.rows.items()}
+    rows.setdefault(r, {})[c] = rows.get(r, {}).get(c, ONE - ONE) + qp(1)
+    return TransportedMap(m, SparseMatrix(m.dim, m.dim, rows),
+                          tmap.bar_linear)
+
+
+@pytest.mark.parametrize("which", ["theta", "tw0"])
+def test_diagonal_k_decision_matches_the_products(which):
+    # one bar-linear and one q-linear system, each tampered across two
+    # weight spaces, which breaks the K squares
+    m = module_of("A2", (1, 1))
+    spec, honest = ((theta_spec(), theta_of(m)) if which == "theta"
+                    else (tw0_spec(), make_Tw0(m)))
+    tampered = _across_weights(honest)
+    got = list(verify_compatibility(tampered, spec))
+    assert got == _product_messages(tampered, spec)
+    assert any(msg.startswith("K_") for msg in got)
+    assert list(verify_compatibility(honest, spec)) == []
+
+
+def test_non_diagonal_k_image_is_refused_when_the_sides_are_built():
+    m = module_of("A1", (2,))
+    skew = MorphismSpec("skew-k", False,
+                        lambda mod, i: mod.E[i], lambda mod, i: mod.F[i],
+                        lambda mod, i: mod.k_i(i, 1).add(mod.E[i]))
+    with pytest.raises(InternalConsistencyError, match="not diagonal"):
+        generator_sides(m, skew)
+    with pytest.raises(InternalConsistencyError, match="not diagonal"):
+        transport(m, skew, m.hw_vector(), m.hw_vector())
+
+
+def test_verify_compatibility_wants_the_systems_linearity():
+    m = module_of("A1", (2,))
+    with pytest.raises(ValueError, match="q-linear map"):
+        list(verify_compatibility(theta_of(m), tw0_spec()))
+
+
+def test_systems_are_distinct_keys():
+    factories = (identity_spec, bar_spec, theta_spec,
+                 lambda: theta_spec(True), gamma_spec, tw0_spec, j_spec)
+    specs = [f() for f in factories]
+    assert len({s.name for s in specs}) == 7
+    assert len(set(specs)) == 7
+    for f in factories:
+        assert f() == f() and len({f(), f()}) == 1
+    # the theta-sign control rests on the two thetas being two maps
+    bm = based_irreducible(module_of("A1", (1,)))
+    assert system_on(bm, theta_spec()) != system_on(bm, theta_spec(True))
+
+
+def test_generator_sides_are_built_once_per_module_and_system():
+    m = module_of("A1", (2,))
+    sides = generator_sides(m, theta_spec())
+    assert generator_sides(m, theta_spec()) is sides
+    # bar-linear systems share the module's barred generators, and an
+    # image that is the module's own matrix is not copied
+    bar_sides = generator_sides(m, bar_spec())
+    assert bar_sides[0][0][0] is sides[0][0][0]
+    assert bar_sides[0][0][1] is m.E[0]
 
 
 def test_scaled_pin_commutes_with_the_action_but_shifts_eigenvalues():
