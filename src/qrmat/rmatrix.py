@@ -28,23 +28,25 @@ left to the tests as an independent oracle.
 
 Every built object has one owner and lives as long as it does.  The
 Cartan datum owns each V_nu, and a module its crystal graph, global basis,
-weight splits, tensor products with right factors and its based
-irreducible, all in the owner's one store (uqmod.derived).  A based
+weight splits, tensor products with right factors, J and K_2rho, its based
+irreducible and one rescaled factor per coefficient of the scaling checks,
+all in the owner's one store (uqmod.derived).  A based
 summand is its module, weight and pin; it derives its V_nu, that
 module's global basis and its embedding into the module in its own store,
 on first read, so r_theta, which reads only the right factor's basis,
 builds and verifies no other.  A factor whose pin the scaling checks
 rescale by z reads its module's one global basis through its embedding,
-z times the identity, so no crystal or global basis is built twice.
+z times the identity, so no crystal or global basis is built twice; its
+Theta, embedding and tensor products are built once, like the based
+irreducible's.  Only the rebuild of check_scaling is fresh on every call.
 A based module owns the maps of every system transported on it
 (system_on, in its store, keyed by the system: Theta, Gamma, bar and the
 wrong-sign Theta of the negative control) and, weakly keyed by the right
 factor so that each dies with either factor, its based tensor products;
 a based tensor product owns its braiding.  The module under a based
 module owns the sides of each system's compatibility squares
-(sysmorph.generator_sides), so the based modules that the scaling and
-method-agreement checks rebuild on one module transport against sides
-built once.
+(sysmorph.generator_sides), so the based modules that check_scaling
+rebuilds on one module transport against sides built once.
 Nothing is keyed by object identity at module level, so objects a caller
 drops are freed.
 """
@@ -517,11 +519,15 @@ RESCALE_COEFFS: Tuple[FieldElement, ...] = (
 )
 
 
+@derived
 def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
-    """The irreducible m based at the pin z b_lambda.  Its embedding sends
-    the F-words of b_lambda to those of z b_lambda, so it is z times the
-    identity, and its basis elements are the module's one global basis
-    read through it, z G(b).
+    """The irreducible m based at the pin z b_lambda, built once per
+    coefficient and kept on m; the scaling checks pass only the fixed
+    RESCALE_COEFFS, so m keeps at most three.  Its Theta, embedding and
+    based tensor products are therefore built and verified once too.  Its
+    embedding sends the F-words of b_lambda to those of z b_lambda, so it
+    is z times the identity, and its basis elements are the module's one
+    global basis read through it, z G(b).
 
     The global basis of the pin z v (v = b_lambda) is z G(b).  G(b) is
     fixed by the bar involution, lies in the crystal lattice L of v with
@@ -559,6 +565,8 @@ def check_scaling(bl: BasedModule, br: BasedModule) -> CheckReport:
     component Theta scales by exactly z/bar(z).  Entries are canonical, so
     equal matrices serialize to the same bytes."""
     base = r_theta(bl, br).matrix
+    # this check exists to rebuild: fresh based modules at the factors' own
+    # pins, not the kept ones, so each request transports their Theta anew
     redo = r_theta(_based_at(bl.module, bl.module.hw_vector()),
                    _based_at(br.module, br.module.hw_vector()))
     ces = _matrix_counterexamples("rebuild determinism", redo.matrix, base)

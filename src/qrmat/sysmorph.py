@@ -416,9 +416,11 @@ def _verified(tmap: TransportedMap, spec: MorphismSpec,
 # transported on a based module by rmatrix.system_on
 # ---------------------------------------------------------------------------
 
+@derived
 def make_J(m: Module) -> TransportedMap:
     """J: q-linear, diagonal q^((mu,mu)/2 + (mu,rho)) on the mu weight
-    space; verified against the C_J compatibility square."""
+    space; verified against the C_J compatibility square once per module,
+    which keeps the map."""
     cd = m.cartan
     rows = {}
     for idx, wt in enumerate(m.weights):
@@ -429,8 +431,10 @@ def make_J(m: Module) -> TransportedMap:
                      j_spec(), "weight-diagonal J")
 
 
+@derived
 def k_2rho(m: Module) -> TransportedMap:
-    """Multiplication by K_{2 H_rho}: diagonal q^(2 (rho, mu))."""
+    """Multiplication by K_{2 H_rho}: diagonal q^(2 (rho, mu)), kept on the
+    module."""
     cd = m.cartan
     rows = {}
     for idx, wt in enumerate(m.weights):

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from qrmat import cli
+from qrmat import cli, rmatrix
 from qrmat.cli import main
 from qrmat.qscalar import FieldElement
 from qrmat.rmatrix import RMatrixResult
@@ -400,26 +400,50 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert code == 2
 
 
-def test_repeated_scaling_requests_keep_memory_bounded():
-    # every scaling request builds fresh based modules; what they derive
-    # must die with them, not pile up in the process
-    argv = ["verify", "--suite", "scaling", "--type", "A1", "--hw", "1",
-            "--hw", "1"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def _warm_growth(argvs, rounds=15):
+    """Bytes the process keeps after rounds of argvs, each run after five
+    warm-up rounds."""
+    with contextlib.redirect_stdout(io.StringIO()):
         for _ in range(5):
-            assert main(argv) == 0
+            for argv in argvs:
+                assert main(argv) == 0
         gc.collect()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for _ in range(15):
-                assert main(argv) == 0
+            for _ in range(rounds):
+                for argv in argvs:
+                    assert main(argv) == 0
             gc.collect()
-            grown = tracemalloc.get_traced_memory()[0] - base
+            return tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
+
+
+def test_repeated_scaling_requests_keep_memory_bounded():
+    # every scaling request rebuilds fresh based modules; what they derive
+    # must die with them, not pile up in the process
+    grown = _warm_growth([["verify", "--suite", "scaling", "--type", "A1",
+                           "--hw", "1", "--hw", "1"]])
     assert grown < 500_000, f"15 scaling requests grew {grown} bytes"
+
+
+def test_warm_scaling_requests_keep_one_rescaled_factor_per_coefficient():
+    # each module keeps one rescaled factor per coefficient, built on the
+    # first request; later requests reuse them, so the process stops
+    # growing (one factor set a request would add about 150 kB)
+    grown = _warm_growth([
+        ["verify", "--suite", "scaling", "--type", "A1", "--hw", "1",
+         "--hw", "2"],
+        ["verify", "--suite", "scaling", "--type", "A2", "--hw", "1,0",
+         "--hw", "0,1"]])
+    assert grown < 100_000, f"15 warm scaling rounds grew {grown} bytes"
+    build = rmatrix._rescaled_factor.__wrapped__
+    for label, hw in [("A1", (1,)), ("A1", (2,)), ("A2", (1, 0)),
+                      ("A2", (0, 1))]:
+        store = cli._module_of(label, hw)._derived
+        assert sum(1 for b, _ in store if b is build) \
+            == len(rmatrix.RESCALE_COEFFS)
 
 
 def test_parser_keeps_no_values_between_calls(capsys):

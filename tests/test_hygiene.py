@@ -22,7 +22,9 @@ private constructors, so every scalar product and sum elsewhere goes
 through the operators the benchmark counts.  A system's generator images
 (e_image, f_image, k_image) are evaluated only by the one builder of a
 module's compatibility-square sides, sysmorph.generator_sides, so no path
-multiplies them out again.
+multiplies them out again.  A based irreducible is built at a pin only by
+the builders that keep it on its module, based_irreducible and
+_rescaled_factor, and by check_scaling's rebuild, which must be fresh.
 """
 
 import ast
@@ -479,17 +481,18 @@ def test_hand_cache_list_names_only_hand_written_caches():
 IMAGE_FNS = {"e_image", "f_image", "k_image"}
 
 
-def _image_call_sites():
-    """(file, innermost enclosing function) of each call of a system's
-    generator image in the package."""
+def _call_sites(names):
+    """(file, innermost enclosing function) of each call in the package of
+    a function or method with one of these names."""
     sites = []
 
     def visit(node, path, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in IMAGE_FNS:
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in names
+                or isinstance(node.func, ast.Name) and node.func.id in names):
             sites.append((os.path.basename(path), fn))
         for child in ast.iter_child_nodes(node):
             visit(child, path, fn)
@@ -500,10 +503,20 @@ def _image_call_sites():
 
 
 def test_generator_images_are_evaluated_only_by_the_sides_builder():
-    sites = _image_call_sites()
+    sites = _call_sites(IMAGE_FNS)
     builders = {(name, fn) for name, fn in sites}
     assert len(sites) == len(IMAGE_FNS) and len(builders) == 1
     (name, fn), = builders
     assert (name, fn.name) == ("sysmorph.py", "generator_sides")
     assert any(isinstance(d, ast.Name) and d.id == "derived"
                for d in fn.decorator_list)
+
+
+def test_based_factors_are_built_only_by_their_owners_and_the_rebuild():
+    # a based irreducible and each rescaled factor are kept on the module;
+    # check_scaling's rebuild is fresh on purpose, so no other throwaway
+    # based factor, with its Theta transported anew, can appear
+    sites = _call_sites({"_based_at"})
+    assert sorted((name, fn.name) for name, fn in sites) == [
+        ("rmatrix.py", "_rescaled_factor"), ("rmatrix.py", "based_irreducible"),
+        ("rmatrix.py", "check_scaling"), ("rmatrix.py", "check_scaling")]

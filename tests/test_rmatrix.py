@@ -511,9 +511,44 @@ def test_warm_scaling_checks_build_no_crystal_or_global_basis(monkeypatch):
     assert verified == []
 
 
+def test_each_rescaled_factor_is_built_once_per_module_and_coefficient():
+    m = make_irreducible(make_cartan("A2"), (1, 0))
+    factors = [rmatrix._rescaled_factor(m, z) for z in rmatrix.RESCALE_COEFFS]
+    for z, bm in zip(rmatrix.RESCALE_COEFFS, factors):
+        assert rmatrix._rescaled_factor(m, z) is bm
+    assert len(set(factors)) == len(rmatrix.RESCALE_COEFFS)
+    assert based_irreducible(m) not in factors
+
+
+def test_warm_checks_transport_only_the_rebuild(monkeypatch):
+    # the rescaled factors keep their Theta and tensor products, so a warm
+    # check_scaling transports Theta only on the fresh rebuild's left and
+    # right factors and their tensor product, and check_method_agreement
+    # on nothing
+    a2 = make_cartan("A2")
+    bl = based_irreducible(make_irreducible(a2, (1, 0)))
+    br = based_irreducible(make_irreducible(a2, (0, 1)))
+    check_scaling(bl, br)
+    check_method_agreement(bl, br)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return transport(*args)
+
+    monkeypatch.setattr(rmatrix, "transport", counting)
+    assert check_scaling(bl, br).passed
+    assert calls == [bl.module, br.module, tensor(bl.module, br.module)]
+    del calls[:]
+    assert check_method_agreement(bl, br).passed
+    assert calls == []
+
+
 def test_scaled_pin_with_an_unscaled_embedding_fails_scaling(monkeypatch):
     # the pin alone rescaled: the right factor's basis elements, and with
-    # them the tensor pins, stay put while its Theta twists by z / bar(z)
+    # them the tensor pins, stay put while its Theta twists by z / bar(z);
+    # factors on a fresh datum, so their rescaled factors, which their
+    # modules keep, are built with the fault in place
     real = rmatrix.BasedComponent.embed.fget
 
     def unscaled(c):
@@ -523,7 +558,9 @@ def test_scaled_pin_with_an_unscaled_embedding_fails_scaling(monkeypatch):
                                            c.module.hw_vector()))
 
     monkeypatch.setattr(rmatrix.BasedComponent, "embed", property(unscaled))
-    rep = check_scaling(based_of("A1", (1,)), based_of("A1", (2,)))
+    a1 = make_cartan("A1")
+    rep = check_scaling(based_irreducible(make_irreducible(a1, (1,))),
+                        based_irreducible(make_irreducible(a1, (2,))))
     assert not rep.passed
     assert {ce["check"].split(" by ")[0] for ce in rep.counterexamples} \
         == {"rescale right pin"}

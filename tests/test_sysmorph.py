@@ -93,6 +93,17 @@ def test_k2rho_on_a1_fundamental_is_q_qinv():
     assert k_2rho(m).matrix.to_triplets() == [(0, 0, qp(1)), (1, 1, qp(-1))]
 
 
+def test_weight_diagonal_maps_are_built_once_per_module(monkeypatch):
+    m = make_irreducible(make_cartan("A2"), (1, 1))
+    checked = []
+    real = sysmorph.verify_compatibility
+    monkeypatch.setattr(sysmorph, "verify_compatibility",
+                        lambda t, s: checked.append(s) or real(t, s))
+    assert make_J(m) is make_J(m)
+    assert k_2rho(m) is k_2rho(m)
+    assert checked == [j_spec()]
+
+
 def test_gamma_swaps_extreme_global_basis_elements_a1():
     gb = gb_of("A1", (1,))
     gamma = gamma_of(gb.module)
