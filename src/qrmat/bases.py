@@ -21,11 +21,12 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, inverse, kernel, rank, solve,
-                     v_add, v_bar, v_clean, v_eq, v_is_zero, v_scale, v_sub)
+from .linalg import (Echelon, SparseMatrix, Vec, inverse, kernel, kron_vec,
+                     rank, solve, v_add, v_bar, v_clean, v_eq, v_is_zero,
+                     v_scale)
 from .qscalar import ONE, ZERO, FieldElement, QLaurent
 from .uqmod import (InternalConsistencyError, Module, ModuleConstructionError,
-                    derived, kron_vec, make_irreducible, tensor)
+                    derived, make_irreducible, tensor)
 
 ResidueT = Tuple[Fraction, ...]
 WeightT = Tuple[int, ...]
@@ -40,31 +41,23 @@ def _echelon_lattice_basis(vecs: Sequence[Vec]) -> List[Vec]:
 
     Gaussian elimination where the pivot is always an entry of maximal degree
     at infinity, so every elimination coefficient is regular at infinity and
-    the column operations are invertible over A.
+    the column operations are invertible over A.  Each basis vector is a
+    remaining vector reduced against the pivots chosen before it.
     """
-    work = [v_clean(dict(v)) for v in vecs]
-    work = [v for v in work if not v_is_zero(v)]
+    kept = Echelon()
+    work = [v_clean(v) for v in vecs]
     basis: List[Vec] = []
-    while work:
-        best = None  # (degree, work position, row)
-        for pos, v in enumerate(work):
-            for row in sorted(v):
-                # degree at q = infinity: canonical denominators tend to 1
-                d = v[row].num.degree()
-                if best is None or d > best[0]:
-                    best = (d, pos, row)
-        _, pos, prow = best
-        pivot = work.pop(pos)
-        pval = pivot[prow]
+    while True:
+        work = [v for v in map(kept.reduce, work) if v]
+        if not work:
+            return basis
+        # the first entry of maximal degree at q = infinity, in work order
+        # and then row order (canonical denominators tend to 1)
+        _, neg_pos, neg_row = max((v[row].num.degree(), -pos, -row)
+                                  for pos, v in enumerate(work) for row in v)
+        pivot = work.pop(-neg_pos)
         basis.append(pivot)
-        reduced = []
-        for v in work:
-            if prow in v:
-                v = v_sub(v, v_scale(pivot, v[prow] / pval))
-            if not v_is_zero(v):
-                reduced.append(v)
-        work = reduced
-    return basis
+        kept.add(pivot, -neg_row)
 
 
 class Frame:

@@ -226,22 +226,17 @@ def _run_suite(suite: str, args, cd: CartanDatum, fault: Optional[str]
     if suite == "method-agreement":
         for lam, mu in _pair_list(args, cd):
             rep = check_method_agreement(
-                _based_of(args.type, lam), _based_of(args.type, mu),
-                wrong_sign=fault == "theta-sign")
+                _based_of(args.type, lam), _based_of(args.type, mu), fault)
             rows.append((f"{_wtext(lam)}x{_wtext(mu)}", rep))
     elif suite == "hexagon":
         for u, v, w in _hexagon_triples(args, cd):
             rep = check_hexagon(
                 _based_of(args.type, u), _based_of(args.type, v),
-                _based_of(args.type, w),
-                perturb="scale-block" if fault == "scale-block" else None)
+                _based_of(args.type, w), fault)
             rows.append((f"{_wtext(u)}x{_wtext(v)}x{_wtext(w)}", rep))
     elif suite == "ybe":
         for hw in _ybe_modules(args, cd):
-            rep = check_ybe(
-                _based_of(args.type, hw),
-                wrong_flip=fault == "wrong-flip",
-                perturb="scale-block" if fault == "scale-block" else None)
+            rep = check_ybe(_based_of(args.type, hw), fault)
             rows.append((_wtext(hw), rep))
     elif suite == "lemma-identities":
         for hw in _module_list(args, cd):

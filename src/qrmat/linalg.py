@@ -14,6 +14,9 @@ Scalars have one canonical form and no zeros are stored, so equality of
 vectors and matrices is structural and subtracts nothing; subtraction only
 lists where a failed comparison differs.
 
+The tensor products (kron_vec, kron_matrix) and the flip fix the one basis
+of V (x) W: the pair (a, b) has index a * dim(W) + b, left factor major.
+
 Clean rows: a SparseMatrix stores no zero entry and no empty row. The public
 constructor enforces this by scanning what it is given. `_of_clean_rows`
 trusts its caller instead and is used only where the rows cannot hold a
@@ -51,9 +54,6 @@ def v_scale(a: Vec, c: FieldElement) -> Vec:
         return {}
     return {k: x * c for k, x in a.items()}
 
-def v_sub(a: Vec, b: Vec) -> Vec:
-    return v_add(a, {k: -x for k, x in b.items()})
-
 def v_is_zero(a: Vec) -> bool:
     return not any(c.num.pairs for c in a.values())
 
@@ -89,8 +89,14 @@ class SparseMatrix:
         return out
 
     @staticmethod
+    def diagonal(entries: Sequence[FieldElement]) -> "SparseMatrix":
+        """The square matrix with these diagonal entries, in order."""
+        return SparseMatrix(len(entries), len(entries),
+                            {i: {i: x} for i, x in enumerate(entries)})
+
+    @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(n, n, {i: {i: ONE} for i in range(n)})
+        return SparseMatrix.diagonal([ONE] * n)
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "SparseMatrix":
@@ -169,7 +175,8 @@ class SparseMatrix:
         for i, r in other.rows.items():
             tgt = rows.setdefault(i, {})
             for j, c in r.items():
-                s = tgt.get(j, ZERO) + c
+                x = tgt.get(j)
+                s = c if x is None else x + c
                 if s.is_zero():
                     tgt.pop(j, None)
                 else:
@@ -245,6 +252,38 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+# -- tensor products -----------------------------------------------------------
+
+def kron_vec(a: Vec, b: Vec, right_dim: int) -> Vec:
+    """a (x) b; right_dim is the dimension of b's space."""
+    out: Vec = {}
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[x * right_dim + y] = cx * cy
+    return v_clean(out)
+
+
+def kron_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """a (x) b."""
+    rows: Dict[int, Dict[int, FieldElement]] = {}
+    for ra, rowa in a.rows.items():
+        for rb, rowb in b.rows.items():
+            out = rows.setdefault(ra * b.nrows + rb, {})
+            for ca, va in rowa.items():
+                for cb, vb in rowb.items():
+                    out[ca * b.ncols + cb] = va * vb
+    return SparseMatrix(a.nrows * b.nrows, a.ncols * b.ncols, rows)
+
+
+def flip_matrix(dl: int, dr: int) -> SparseMatrix:
+    """V (x) W -> W (x) V on basis indices: a*dr + b maps to b*dl + a."""
+    rows = {}
+    for a in range(dl):
+        for b in range(dr):
+            rows[b * dl + a] = {a * dr + b: ONE}
+    return SparseMatrix(dl * dr, dl * dr, rows)
 
 
 def diagonal_square_columns(a: SparseMatrix, d1: SparseMatrix,
@@ -372,13 +411,20 @@ def solve(a: SparseMatrix, b: Vec) -> Optional[Vec]:
 
 
 def solve_many(a: SparseMatrix, bs: Sequence[Vec]) -> List[Optional[Vec]]:
-    """Particular solutions (free unknowns 0) for several right-hand sides."""
+    """Particular solutions (free unknowns 0) for several right-hand sides.
+
+    Raises ValueError on a nonzero right-hand side entry at a row that a
+    does not have."""
     n = a.ncols
     rows = _rows(a)
     for t, b in enumerate(bs):
         for i, x in b.items():
-            if i < a.nrows and not x.is_zero():
-                rows[i] = {**rows[i], n + t: x}
+            if x.is_zero():
+                continue
+            if not 0 <= i < a.nrows:
+                raise ValueError(f"right-hand side {t} has an entry at row "
+                                 f"{i}, outside the {a.nrows} rows")
+            rows[i] = {**rows[i], n + t: x}
     pivots, rest = rref(rows, n)
     bad = {j for r in rest for j in r}
     return [None if n + t in bad else

@@ -57,12 +57,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
 from .cartan import CartanDatum
-from .linalg import (SparseMatrix, Vec, diagonal_square_columns, inverse,
-                     rref, v_clean, v_eq, v_is_zero, v_scale)
+from .linalg import (SparseMatrix, Vec, diagonal_square_columns, flip_matrix,
+                     inverse, kron_matrix, kron_vec, rref, v_clean, v_eq,
+                     v_is_zero, v_scale)
 from .qscalar import ONE, ZERO, FieldElement
 from .sysmorph import (MorphismSpec, TransportedMap, bar_spec, gamma_spec,
                        k_2rho, make_J, make_Tw0, theta_spec, transport)
-from .uqmod import (InternalConsistencyError, Module, derived, kron_vec,
+from .uqmod import (InternalConsistencyError, Module, derived,
                     make_irreducible, summand_order_key, tensor, weight_split)
 
 WeightT = Tuple[int, ...]
@@ -227,30 +228,6 @@ def tensor_of_maps(t1: TransportedMap, t2: TransportedMap,
                           f"({t1.provenance} (x) {t2.provenance})")
 
 
-# ---------------------------------------------------------------------------
-# Index plumbing
-# ---------------------------------------------------------------------------
-
-def kron_matrix(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    rows: Dict[int, Dict[int, FieldElement]] = {}
-    for ra, rowa in a.rows.items():
-        for rb, rowb in b.rows.items():
-            out = rows.setdefault(ra * b.nrows + rb, {})
-            for ca, va in rowa.items():
-                for cb, vb in rowb.items():
-                    out[ca * b.ncols + cb] = va * vb
-    return SparseMatrix(a.nrows * b.nrows, a.ncols * b.ncols, rows)
-
-
-def flip_matrix(dl: int, dr: int) -> SparseMatrix:
-    """V (x) W -> W (x) V on basis indices: a*dr + b maps to b*dl + a."""
-    rows = {}
-    for a in range(dl):
-        for b in range(dr):
-            rows[b * dl + a] = {a * dr + b: ONE}
-    return SparseMatrix(dl * dr, dl * dr, rows)
-
-
 def _generator_pairs(src: Module, dst: Module):
     """(label, source action, target action, both diagonal) per generator."""
     for i in range(src.cartan.n):
@@ -333,14 +310,11 @@ class RMatrixResult:
                           separators=(",", ":"))
 
 
-def _pair_weight_diag(big: Module, ml: Module, mr: Module) -> SparseMatrix:
-    cd = big.cartan
-    rows = {}
-    for t in range(big.dim):
-        a, b = divmod(t, mr.dim)
-        e = cd.bilinear(ml.weights[a], mr.weights[b])
-        rows[t] = {t: FieldElement.q_power(e)}
-    return SparseMatrix(big.dim, big.dim, rows)
+def _pair_weight_diag(ml: Module, mr: Module) -> SparseMatrix:
+    """q^((wt v, wt w)) on each v (x) w of the tensor basis."""
+    cd = ml.cartan
+    return SparseMatrix.diagonal([FieldElement.q_power(cd.bilinear(a, b))
+                                  for a in ml.weights for b in mr.weights])
 
 
 def r_theta(bl: BasedModule, br: BasedModule,
@@ -367,7 +341,7 @@ def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
     tl = make_Tw0(bl.module)
     tr = make_Tw0(br.module)
     tt = make_Tw0(big)
-    pre = _pair_weight_diag(big, bl.module, br.module)
+    pre = _pair_weight_diag(bl.module, br.module)
     mat = (pre @ kron_matrix(tl.inverse().matrix, tr.inverse().matrix)
            @ tt.matrix)
     return RMatrixResult(mat, "krls", bl, br)
@@ -418,7 +392,7 @@ def r_oracle(bl: BasedModule, br: BasedModule) -> RMatrixResult:
 
     p = flip_matrix(dl, dr)
     p_inv = flip_matrix(dr, dl)
-    d_mat = _pair_weight_diag(big, ml, mr)
+    d_mat = _pair_weight_diag(ml, mr)
 
     rows: Dict[tuple, Dict[int, FieldElement]] = {}
     rhs: Dict[tuple, FieldElement] = {}
@@ -541,11 +515,22 @@ def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
     return _based_at(m, v_scale(m.hw_vector(), z))
 
 
+def _fault(fault: Optional[str], *supported: str) -> Optional[str]:
+    """fault, once it is None or one of the faults a check supports."""
+    if fault is not None and fault not in supported:
+        raise ValueError(f"unknown fault {fault!r}")
+    return fault
+
+
 def check_method_agreement(bl: BasedModule, br: BasedModule,
-                           wrong_sign: bool = False) -> CheckReport:
+                           fault: Optional[str] = None) -> CheckReport:
     """r_theta == r_krls == r_oracle entrywise, and r_theta is invariant
-    under rescaling both factor pins by each fixed test coefficient."""
-    rt = r_theta(bl, br, wrong_sign=wrong_sign)
+    under rescaling both factor pins by each fixed test coefficient.
+
+    fault="theta-sign" builds r_theta from the wrong-sign Theta; the
+    report must then carry a counterexample.
+    """
+    rt = r_theta(bl, br, wrong_sign=bool(_fault(fault, "theta-sign")))
     rk = r_krls(bl, br)
     ro = r_oracle(bl, br)
     ces: List[dict] = []
@@ -594,33 +579,29 @@ def scale_isotypic_block(mat: SparseMatrix, bt: BasedModule, index: int,
     rest: a fault injector."""
     key = summand_order_key(bt.cartan)
     comps = sorted(bt.components, key=lambda c: key(c.nu))
-    dim = bt.module.dim
     cols: List[Vec] = []
-    rows = {}
+    coefs: List[FieldElement] = []
     for comp in comps:
-        c = z if comp.nu == comps[index].nu else ONE
-        for col in comp.embed.transpose().rows.values():
-            rows[len(cols)] = {len(cols): c}
-            cols.append(col)
-    change = SparseMatrix.from_columns(cols, dim)
-    return mat @ change @ SparseMatrix(dim, dim, rows) @ inverse(change)
+        block = list(comp.embed.transpose().rows.values())
+        cols.extend(block)
+        coefs.extend([z if comp.nu == comps[index].nu else ONE] * len(block))
+    change = SparseMatrix.from_columns(cols, bt.module.dim)
+    return mat @ change @ SparseMatrix.diagonal(coefs) @ inverse(change)
 
 
 def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
-                  perturb: Optional[str] = None) -> CheckReport:
+                  fault: Optional[str] = None) -> CheckReport:
     """Both cabling equalities, with the tensor-object sides built from the
     tensor-product pins.
 
-    perturb="scale-block" multiplies one isotypic block of sigma_{V,W} by q
+    fault="scale-block" multiplies one isotypic block of sigma_{V,W} by q
     before checking; the report must then carry a counterexample.
     """
     du, dv, dw = bu.module.dim, bv.module.dim, bw.module.dim
     s_vw = braiding(bv, bw)
-    if perturb == "scale-block":
+    if _fault(fault, "scale-block"):
         s_vw = scale_isotypic_block(s_vw, based_tensor(bv, bw), 0,
                                     FieldElement.q_power(1))
-    elif perturb is not None:
-        raise ValueError(f"unknown perturbation {perturb!r}")
     s_uw = braiding(bu, bw)
     s_uv = braiding(bu, bv)
     buv = based_tensor(bu, bv)
@@ -639,28 +620,26 @@ def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
     return CheckReport("hexagon", ces)
 
 
-def check_ybe(bv: BasedModule, wrong_flip: bool = False,
-              perturb: Optional[str] = None) -> CheckReport:
+def check_ybe(bv: BasedModule, fault: Optional[str] = None) -> CheckReport:
     """sigma is a module map of V (x) V and satisfies the braid relation
     (s x Id)(Id x s)(s x Id) == (Id x s)(s x Id)(Id x s) on V^(x)3.
 
-    wrong_flip composes the R-matrix with the flip on the wrong side.
-    That operator happens to satisfy the bare braid relation too, so the
-    discriminating axiom is the module-map half of the braiding
-    definition, which it fails.  perturb="scale-block" multiplies one
+    fault="wrong-flip" composes the R-matrix with the flip on the wrong
+    side.  That operator happens to satisfy the bare braid relation too,
+    so the discriminating axiom is the module-map half of the braiding
+    definition, which it fails.  fault="scale-block" multiplies one
     isotypic block of sigma by q; that stays a module map but breaks the
     braid relation.
     """
+    fault = _fault(fault, "wrong-flip", "scale-block")
     d = bv.module.dim
     bt = based_tensor(bv, bv)
-    if wrong_flip:
+    if fault == "wrong-flip":
         s = r_theta(bv, bv).matrix @ flip_matrix(d, d)
     else:
         s = braiding(bv, bv)
-    if perturb == "scale-block":
+    if fault == "scale-block":
         s = scale_isotypic_block(s, bt, 0, FieldElement.q_power(1))
-    elif perturb is not None:
-        raise ValueError(f"unknown perturbation {perturb!r}")
     ces = [dict(ce, check="sigma module map: " + ce["check"])
            for ce in _intertwiner_failures(s, bt.module, bt.module)]
     a = kron_matrix(s, SparseMatrix.identity(d))

@@ -280,15 +280,6 @@ class TransportedMap:
         kind = "bar-linear" if self.bar_linear else "q-linear"
         return f"TransportedMap({self.provenance or '?'}, {kind})"
 
-    def to_json_obj(self) -> dict:
-        return {
-            "bar_linear": self.bar_linear,
-            "provenance": self.provenance,
-            "dim": self.module.dim,
-            "entries": [[r, c, x.to_json_obj()]
-                        for r, c, x in self.matrix.to_triplets()],
-        }
-
 
 def verify_compatibility(tmap: TransportedMap,
                          spec: MorphismSpec) -> Iterator[str]:
@@ -422,12 +413,10 @@ def make_J(m: Module) -> TransportedMap:
     space; verified against the C_J compatibility square once per module,
     which keeps the map."""
     cd = m.cartan
-    rows = {}
-    for idx, wt in enumerate(m.weights):
-        exp = cd.bilinear(wt, wt) / 2 + cd.bilinear(wt, cd.rho)
-        rows[idx] = {idx: FieldElement.q_power(exp)}
-    return _verified(TransportedMap(m, SparseMatrix(m.dim, m.dim, rows),
-                                    False, "J"),
+    diag = SparseMatrix.diagonal([
+        FieldElement.q_power(cd.bilinear(wt, wt) / 2 + cd.bilinear(wt, cd.rho))
+        for wt in m.weights])
+    return _verified(TransportedMap(m, diag, False, "J"),
                      j_spec(), "weight-diagonal J")
 
 
@@ -436,10 +425,9 @@ def k_2rho(m: Module) -> TransportedMap:
     """Multiplication by K_{2 H_rho}: diagonal q^(2 (rho, mu)), kept on the
     module."""
     cd = m.cartan
-    rows = {}
-    for idx, wt in enumerate(m.weights):
-        rows[idx] = {idx: FieldElement.q_power(2 * cd.bilinear(wt, cd.rho))}
-    return TransportedMap(m, SparseMatrix(m.dim, m.dim, rows), False, "K_2rho")
+    diag = SparseMatrix.diagonal([
+        FieldElement.q_power(2 * cd.bilinear(wt, cd.rho)) for wt in m.weights])
+    return TransportedMap(m, diag, False, "K_2rho")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Tensor products use the coproduct
 
     E_i -> E_i (x) K_i + 1 (x) E_i,   F_i -> F_i (x) 1 + K_i^(-1) (x) F_i,
 
-with basis ordered pairs, left factor major.
+built as written from linalg's Kronecker products and the K_i^(+-1) each
+factor keeps, on linalg's tensor basis (ordered pairs, left factor major).
 
 What a module or a datum derives (K_i powers, divided powers, weight
 splits, tensor products, V_lambda; in bases and sysmorph its strings,
@@ -38,6 +39,7 @@ from .linalg import (
     Vec,
     inverse,
     kernel,
+    kron_matrix,
     rref,
     v_add,
     v_clean,
@@ -124,9 +126,8 @@ class Module:
         """K_i^power = K_{d_i H_i}^power, diagonal q^(power d_i <H_i, wt>);
         kept on the module and shared, so callers must not mutate it."""
         d = self.cartan.d[i]
-        return SparseMatrix(self.dim, self.dim, {
-            idx: {idx: FieldElement.q_power(power * d * wt[i])}
-            for idx, wt in enumerate(self.weights)})
+        return SparseMatrix.diagonal([FieldElement.q_power(power * d * wt[i])
+                                      for wt in self.weights])
 
     def hw_vector(self) -> Vec:
         if self.hw_index is None:
@@ -150,20 +151,6 @@ class Module:
         prev = self.divided_power(gen, i, n - 1)
         mat = {"E": self.E, "F": self.F}[gen][i]
         return (mat @ prev).scale(q_int(n, self.cartan.d[i]).inv())
-
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        def dump_actions(mats: Dict[int, SparseMatrix]) -> dict:
-            return {str(i + 1): [[r, c, x.to_json_obj()] for r, c, x in mats[i].to_triplets()]
-                    for i in sorted(mats)}
-        return {
-            "cartan": self.cartan.to_json_obj(),
-            "dim": self.dim,
-            "weights": [list(w) for w in self.weights],
-            "E": dump_actions(self.E),
-            "F": dump_actions(self.F),
-        }
 
     def __repr__(self):
         return f"Module({self.provenance}, dim={self.dim})"
@@ -378,7 +365,7 @@ def _check_weight_grading(m: Module, mat: SparseMatrix, i: int, sign: int) -> No
 
 @derived
 def tensor(m: Module, w: Module) -> Module:
-    """V (x) W with the coproduct actions; basis index = a * dim(W) + b.
+    """V (x) W with the coproduct actions, on linalg's tensor basis.
 
     Built once per factor pair and kept on the left factor.
     """
@@ -386,46 +373,14 @@ def tensor(m: Module, w: Module) -> Module:
         # allow equal-but-distinct data only if structurally identical
         if m.cartan.A != w.cartan.A or m.cartan.d != w.cartan.d:
             raise ModuleConstructionError("tensor factors use different Cartan data")
-    cd = m.cartan
-    dim = m.dim * w.dim
-    weights = [tuple(a + b for a, b in zip(m.weights[x], w.weights[y]))
-               for x in range(m.dim) for y in range(w.dim)]
-    E: Dict[int, SparseMatrix] = {}
-    F: Dict[int, SparseMatrix] = {}
-    for i in range(cd.n):
-        d = cd.d[i]
-        trips_e: List[Tuple[int, int, FieldElement]] = []
-        trips_f: List[Tuple[int, int, FieldElement]] = []
-        for r, row in m.E[i].rows.items():
-            for c, val in row.items():
-                for b in range(w.dim):
-                    k = FieldElement.q_power(d * w.weights[b][i])
-                    trips_e.append((r * w.dim + b, c * w.dim + b, val * k))
-        for r, row in w.E[i].rows.items():
-            for c, val in row.items():
-                for a in range(m.dim):
-                    trips_e.append((a * w.dim + r, a * w.dim + c, val))
-        for r, row in m.F[i].rows.items():
-            for c, val in row.items():
-                for b in range(w.dim):
-                    trips_f.append((r * w.dim + b, c * w.dim + b, val))
-        for r, row in w.F[i].rows.items():
-            for c, val in row.items():
-                for a in range(m.dim):
-                    k = FieldElement.q_power(-d * m.weights[a][i])
-                    trips_f.append((a * w.dim + r, a * w.dim + c, val * k))
-        E[i] = SparseMatrix.from_triplets(dim, dim, trips_e)
-        F[i] = SparseMatrix.from_triplets(dim, dim, trips_f)
-    return Module(cd, weights, E, F, provenance="tensor")
-
-
-def kron_vec(a: Vec, b: Vec, right_dim: int) -> Vec:
-    """a (x) b in the tensor basis index a_idx * right_dim + b_idx."""
-    out: Vec = {}
-    for x, cx in a.items():
-        for y, cy in b.items():
-            out[x * right_dim + y] = cx * cy
-    return v_clean(out)
+    one_m, one_w = SparseMatrix.identity(m.dim), SparseMatrix.identity(w.dim)
+    E = {i: kron_matrix(m.E[i], w.k_i(i, 1)).add(kron_matrix(one_m, w.E[i]))
+         for i in range(m.cartan.n)}
+    F = {i: kron_matrix(m.F[i], one_w).add(kron_matrix(m.k_i(i, -1), w.F[i]))
+         for i in range(m.cartan.n)}
+    weights = [tuple(a + b for a, b in zip(x, y))
+               for x in m.weights for y in w.weights]
+    return Module(m.cartan, weights, E, F, provenance="tensor")
 
 
 def highest_weight_vectors(m: Module, nu: Sequence[int]) -> List[Vec]:
@@ -434,19 +389,13 @@ def highest_weight_vectors(m: Module, nu: Sequence[int]) -> List[Vec]:
     idx = m.weight_space(nu)
     if not idx:
         return []
-    blocks: List[SparseMatrix] = []
+    rows: List[Vec] = []
     for i in range(m.cartan.n):
         tgt = m.weight_space(m.weight_plus_alpha(nu, i))
-        blocks.append(m.E[i].restrict(tgt, idx))
-    stacked_rows: Dict[int, Dict[int, FieldElement]] = {}
-    off = 0
-    for blk in blocks:
-        for r, row in blk.rows.items():
-            stacked_rows[off + r] = dict(row)
-        off += blk.nrows
-    stacked = SparseMatrix(off, len(idx), stacked_rows)
+        blk = m.E[i].restrict(tgt, idx)
+        rows.extend(blk.rows[r] for r in sorted(blk.rows))
     out = []
-    for kv in kernel(stacked):
+    for kv in kernel(SparseMatrix(len(rows), len(idx), dict(enumerate(rows)))):
         out.append(v_clean({idx[local]: c for local, c in kv.items()}))
     return out
 

@@ -230,22 +230,22 @@ def test_criterion_10_negative_controls():
     problems = []
 
     rep = check_method_agreement(based_of("A1", (1,)), based_of("A1", (2,)),
-                                 wrong_sign=True)
+                                 fault="theta-sign")
     if rep.passed or not rep.counterexamples:
         problems.append(("wrong Theta exponent sign", "not detected"))
     elif not {"lhs", "rhs"} <= set(rep.counterexamples[0]):
         problems.append(("wrong Theta exponent sign", "no concrete entry"))
 
     rep = check_hexagon(based_of("A1", (1,)), based_of("A1", (1,)),
-                        based_of("A1", (1,)), perturb="scale-block")
+                        based_of("A1", (1,)), fault="scale-block")
     if rep.passed or not rep.counterexamples:
         problems.append(("scaled isotypic block (hexagon)", "not detected"))
 
-    rep = check_ybe(based_of("A1", (1,)), perturb="scale-block")
+    rep = check_ybe(based_of("A1", (1,)), fault="scale-block")
     if rep.passed or not rep.counterexamples:
         problems.append(("scaled isotypic block (YBE)", "not detected"))
 
-    rep = check_ybe(based_of("A1", (1,)), wrong_flip=True)
+    rep = check_ybe(based_of("A1", (1,)), fault="wrong-flip")
     if rep.passed or not rep.counterexamples:
         problems.append(("wrong Flip side", "not detected"))
 

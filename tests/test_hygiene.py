@@ -25,6 +25,8 @@ module's compatibility-square sides, sysmorph.generator_sides, so no path
 multiplies them out again.  A based irreducible is built at a pin only by
 the builders that keep it on its module, based_irreducible and
 _rescaled_factor, and by check_scaling's rebuild, which must be fresh.
+Every name a package module imports is read in that module or listed in
+its __all__, so a helper moved between modules leaves no stale import.
 """
 
 import ast
@@ -520,3 +522,33 @@ def test_based_factors_are_built_only_by_their_owners_and_the_rebuild():
     assert sorted((name, fn.name) for name, fn in sites) == [
         ("rmatrix.py", "_rescaled_factor"), ("rmatrix.py", "based_irreducible"),
         ("rmatrix.py", "check_scaling"), ("rmatrix.py", "check_scaling")]
+
+
+def _unread_imports():
+    """"<file>: <name>" of each name a package module imports, from
+    __future__ aside, that the module neither reads nor lists in its
+    __all__."""
+    out = []
+    for path, tree in _trees(PACKAGE):
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(a.asname or a.name.partition(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read.update(e.value for e in ast.walk(node.value)
+                            if isinstance(e, ast.Constant))
+        out.extend(f"{os.path.basename(path)}: {name}"
+                   for name in sorted(imported - read))
+    return out
+
+
+def test_every_imported_name_is_read_or_exported():
+    assert _unread_imports() == []

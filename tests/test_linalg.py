@@ -11,15 +11,19 @@ from hypothesis import strategies as st
 from qrmat.linalg import (
     Echelon,
     SparseMatrix,
+    flip_matrix,
     inverse,
     kernel,
+    kron_matrix,
+    kron_vec,
     rank,
     rref,
     solve,
     solve_many,
+    v_add,
     v_eq,
     v_is_zero,
-    v_sub,
+    v_scale,
 )
 from qrmat.qscalar import FieldElement, ONE, Q, QLaurent, ZERO
 
@@ -89,13 +93,24 @@ def test_solve_many_mixed():
     assert bad is None
 
 
+def test_solve_refuses_a_right_hand_side_row_the_matrix_lacks():
+    # row 5 asks for 0 = 1; dropping it would answer a different system
+    a = SparseMatrix(1, 1, {0: {0: ONE}})
+    with pytest.raises(ValueError, match="row 5"):
+        solve(a, {0: ONE, 5: ONE})
+    with pytest.raises(ValueError, match="row 1"):
+        solve_many(a, [{0: ONE}, {1: ONE}])
+    assert solve(a, {0: ONE, 5: ZERO}) == {0: ONE}  # a stored zero asks nothing
+
+
 def test_coords_in_basis():
     basis = SparseMatrix.from_columns([{0: ONE, 1: ONE}, {1: ONE}], 3)
     c = solve(basis, {0: ONE + ONE, 1: ONE})
     assert c is not None
     two = ONE + ONE
-    recon = v_sub({0: two, 1: ONE},
-                  {k: v for k, v in ((0, c.get(0, ZERO)), (1, c.get(0, ZERO) + c.get(1, ZERO))) if not v.is_zero()})
+    recon = v_add({0: two, 1: ONE}, v_scale(
+        {k: v for k, v in ((0, c.get(0, ZERO)), (1, c.get(0, ZERO) + c.get(1, ZERO))) if not v.is_zero()},
+        -ONE))
     assert v_is_zero(recon)
     assert solve(basis, {2: ONE}) is None
 
@@ -109,6 +124,27 @@ def test_matrix_algebra_shapes():
         b @ b
     trips = b.to_triplets()
     assert trips == sorted(trips, key=lambda t: (t[0], t[1]))
+
+
+
+def test_diagonal_keeps_its_entries_in_order_and_stores_no_zero():
+    d = SparseMatrix.diagonal([Q, ZERO, ONE])
+    assert (d.nrows, d.ncols) == (3, 3)
+    assert d.rows == {0: {0: Q}, 2: {2: ONE}}
+    assert SparseMatrix.identity(2) == SparseMatrix.diagonal([ONE, ONE])
+
+
+def test_tensor_helpers_share_the_left_major_index():
+    # pair (x, y) of a 2- and a 3-dimensional space has index 3 x + y
+    rng = random.Random(11)
+    a, b = rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3)
+    for x in range(2):
+        for y in range(3):
+            assert kron_vec({x: ONE}, {y: ONE}, 3) == {3 * x + y: ONE}
+            assert v_eq(kron_matrix(a, b).apply(kron_vec({x: ONE}, {y: ONE}, 3)),
+                        kron_vec(a.column(x), b.column(y), 3))
+            assert flip_matrix(2, 3).apply({3 * x + y: ONE}) == {2 * y + x: ONE}
+    assert flip_matrix(3, 2) @ flip_matrix(2, 3) == SparseMatrix.identity(6)
 
 
 # -- the elimination core against a dense oracle --------------------------------
@@ -292,7 +328,7 @@ def test_structural_vector_equality_matches_subtraction(ab, col):
     u, v = a.column(col), b.column(col)
     v_junk = {**v, 9: ZERO}  # a stored zero compares as absent
     for x, y in ((u, v), (u, v_junk), (v_junk, u)):
-        assert v_eq(x, y) == v_is_zero(v_sub(x, y))
+        assert v_eq(x, y) == v_is_zero(v_add(x, v_scale(y, -ONE)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,21 +10,20 @@ import pytest
 
 from qrmat import bases, rmatrix, uqmod
 from qrmat.cartan import make_cartan
-from qrmat.linalg import SparseMatrix, inverse, v_clean, v_eq
+from qrmat.linalg import (SparseMatrix, flip_matrix, inverse, kron_matrix,
+                          kron_vec, v_clean, v_eq)
 from qrmat.qscalar import ONE, FieldElement
 from qrmat.rmatrix import (RMatrixResult, based_irreducible,
                            based_tensor, braiding,
                            check_double_braiding, check_gamma_lemma,
                            check_hexagon, check_lemma_identities,
                            check_method_agreement, check_normalization,
-                           check_scaling, check_ybe, flip_matrix,
-                           system_on,
-                           kron_matrix, r_krls, r_matrix, r_oracle, r_theta,
+                           check_scaling, check_ybe, system_on,
+                           r_krls, r_matrix, r_oracle, r_theta,
                            scale_isotypic_block, _unique_solution)
 from qrmat.sysmorph import (calibrate_braid_variant, gamma_spec, make_J,
                             make_Tw0, theta_spec, transport, tw0_spec)
-from qrmat.uqmod import (InternalConsistencyError, kron_vec,
-                         make_irreducible, tensor)
+from qrmat.uqmod import InternalConsistencyError, make_irreducible, tensor
 
 A1 = make_cartan("A1")
 A2 = make_cartan("A2")
@@ -588,7 +587,7 @@ def test_double_braiding_scalar_values_a1_square():
 
 def test_wrong_theta_exponent_sign_breaks_agreement():
     rep = check_method_agreement(based_of("A1", (1,)), based_of("A1", (2,)),
-                                 wrong_sign=True)
+                                 fault="theta-sign")
     assert not rep.passed
     ce = rep.counterexamples[0]
     assert ce["check"] == "theta vs krls"
@@ -597,7 +596,7 @@ def test_wrong_theta_exponent_sign_breaks_agreement():
 
 def test_scaled_isotypic_block_breaks_hexagon():
     rep = check_hexagon(based_of("A1", (1,)), based_of("A1", (2,)),
-                        based_of("A1", (1,)), perturb="scale-block")
+                        based_of("A1", (1,)), fault="scale-block")
     assert not rep.passed
     assert rep.counterexamples
 
@@ -605,11 +604,27 @@ def test_scaled_isotypic_block_breaks_hexagon():
 def test_unknown_perturbation_rejected():
     with pytest.raises(ValueError):
         check_hexagon(based_of("A1", (1,)), based_of("A1", (1,)),
-                      based_of("A1", (1,)), perturb="typo")
+                      based_of("A1", (1,)), fault="typo")
+
+
+@pytest.mark.parametrize("check,fault", [
+    ("method-agreement", "scale-block"),
+    ("method-agreement", "wrong-flip"),
+    ("hexagon", "theta-sign"),
+    ("hexagon", "wrong-flip"),
+    ("ybe", "theta-sign"),
+])
+def test_each_check_rejects_a_fault_it_does_not_support(check, fault):
+    v = based_of("A1", (1,))
+    run = {"method-agreement": lambda: check_method_agreement(v, v, fault),
+           "hexagon": lambda: check_hexagon(v, v, v, fault),
+           "ybe": lambda: check_ybe(v, fault)}[check]
+    with pytest.raises(ValueError, match=fault):
+        run()
 
 
 def test_wrong_flip_side_fails_module_map_half_of_ybe():
-    rep = check_ybe(based_of("A1", (1,)), wrong_flip=True)
+    rep = check_ybe(based_of("A1", (1,)), fault="wrong-flip")
     assert not rep.passed
     assert rep.counterexamples[0]["check"].startswith("sigma module map")
 
@@ -675,9 +690,9 @@ def test_passing_checks_subtract_nothing(monkeypatch):
         assert rep.passed, rep.counterexamples
     monkeypatch.undo()
     bl = based_irreducible(make_irreducible(cd, (1,)))
-    for rep in (check_method_agreement(bl, bm, wrong_sign=True),
-                check_ybe(bm, perturb="scale-block"),
-                check_ybe(bm, wrong_flip=True)):
+    for rep in (check_method_agreement(bl, bm, fault="theta-sign"),
+                check_ybe(bm, fault="scale-block"),
+                check_ybe(bm, fault="wrong-flip")):
         assert not rep.passed and rep.counterexamples
 
 

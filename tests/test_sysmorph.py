@@ -510,15 +510,3 @@ def test_theta_pin_covariance():
     for z in (qp(1), ONE + qp(1), FieldElement.from_int(2) - qp(-1)):
         scaled = theta_pinned(m, z)
         assert scaled.matrix == honest.matrix.scale(z)
-
-
-def test_transported_map_serialization_roundtrip():
-    m = module_of("A1", (1,))
-    theta = theta_of(m)
-    obj = theta.to_json_obj()
-    assert obj["bar_linear"] is True
-    assert obj["dim"] == 2
-    rows = {}
-    for r, c, x in obj["entries"]:
-        rows.setdefault(r, {})[c] = FieldElement.from_json_obj(x)
-    assert SparseMatrix(2, 2, rows) == theta.matrix

@@ -16,8 +16,9 @@ from qrmat import cli, uqmod
 from qrmat.bases import (compute_global_basis, crystal_graph,
                          kashiwara_operators, string_chains)
 from qrmat.cartan import make_cartan
-from qrmat.linalg import SparseMatrix, v_eq, v_is_zero, v_scale, v_sub
-from qrmat.qscalar import ONE, FieldElement, Q, q_int
+from qrmat.linalg import (SparseMatrix, kron_matrix, v_add, v_eq, v_is_zero,
+                          v_scale)
+from qrmat.qscalar import ONE, ZERO, FieldElement, Q, q_int
 from qrmat.rmatrix import based_irreducible, based_tensor
 from qrmat.sysmorph import braid_operator, make_Tw0
 from qrmat.uqmod import (
@@ -35,6 +36,7 @@ from qrmat.uqmod import (
 A1 = make_cartan("A1")
 A2 = make_cartan("A2")
 B2 = make_cartan("B2")
+G2 = make_cartan("G2")
 
 
 def weyl_dim(cd, lam) -> int:
@@ -273,6 +275,73 @@ def test_coproduct_entries_by_hand():
     assert kh.entry(0, 0) == Q * Q and kh.entry(3, 3) == (Q * Q).inv()
 
 
+def _coproduct_by_hand(m, w, i):
+    """Delta(E_i) and Delta(F_i) on V (x) W, column by column from the
+    factors' actions and weights; pair (a, b) has index a * dim(W) + b.
+
+      Delta(E_i)(x_a (x) y_b) = E_i x_a (x) q_i^(<H_i, wt y_b>) y_b
+                                + x_a (x) E_i y_b
+      Delta(F_i)(x_a (x) y_b) = F_i x_a (x) y_b
+                                + q_i^(-<H_i, wt x_a>) x_a (x) F_i y_b
+    """
+    d, dw = m.cartan.d[i], w.dim
+    e, f = {}, {}
+
+    def put(rows, r, c, x):
+        rows.setdefault(r, {})[c] = rows.get(r, {}).get(c, ZERO) + x
+
+    for a in range(m.dim):
+        for b in range(dw):
+            col = a * dw + b
+            k_b = FieldElement.q_power(d * w.weights[b][i])
+            k_a_inv = FieldElement.q_power(-d * m.weights[a][i])
+            for r, x in m.E[i].column(a).items():
+                put(e, r * dw + b, col, x * k_b)
+            for r, x in w.E[i].column(b).items():
+                put(e, a * dw + r, col, x)
+            for r, x in m.F[i].column(a).items():
+                put(f, r * dw + b, col, x)
+            for r, x in w.F[i].column(b).items():
+                put(f, a * dw + r, col, k_a_inv * x)
+    dim = m.dim * dw
+    return SparseMatrix(dim, dim, e), SparseMatrix(dim, dim, f)
+
+
+def _b2_nested():
+    v, w = make_irreducible(B2, (1, 0)), make_irreducible(B2, (0, 1))
+    return tensor(v, w), v
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (make_irreducible(B2, (1, 0)), make_irreducible(B2, (0, 1))),
+    lambda: (make_irreducible(G2, (0, 1)), make_irreducible(G2, (1, 0))),
+    _b2_nested,  # the left factor of the hexagon's s_{UV,W}
+], ids=["B2", "G2", "B2-nested"])
+def test_coproduct_entries_by_hand_beyond_a1(factors):
+    m, w = factors()
+    t = tensor(m, w)
+    for i in range(m.cartan.n):
+        want_e, want_f = _coproduct_by_hand(m, w, i)
+        assert t.E[i] == want_e
+        assert t.F[i] == want_f
+
+
+@pytest.mark.parametrize("cd,left,right", [
+    (B2, (1, 0), (0, 1)), (G2, (0, 1), (0, 1))], ids=["B2", "G2"])
+def test_verify_module_accepts_the_opposite_coproduct(cd, left, right):
+    # Delta^op = flip o Delta satisfies every relation too, so only the
+    # entry-by-entry comparison above tells the two coproducts apart
+    m, w = make_irreducible(cd, left), make_irreducible(cd, right)
+    t = tensor(m, w)
+    one_m, one_w = SparseMatrix.identity(m.dim), SparseMatrix.identity(w.dim)
+    e_op = {i: kron_matrix(m.k_i(i, 1), w.E[i]).add(kron_matrix(m.E[i], one_w))
+            for i in range(cd.n)}
+    f_op = {i: kron_matrix(one_m, w.F[i]).add(kron_matrix(m.F[i], w.k_i(i, -1)))
+            for i in range(cd.n)}
+    verify_module(Module(cd, t.weights, e_op, f_op, "opposite coproduct"))
+    assert all(e_op[i] != t.E[i] and f_op[i] != t.F[i] for i in range(cd.n))
+
+
 def test_tensor_mismatched_cartan():
     with pytest.raises(ModuleConstructionError):
         tensor(make_irreducible(A1, (1,)), make_irreducible(A2, (1, 0)))
@@ -347,7 +416,7 @@ def test_projections_resolve_identity():
         vec = {idx: ONE}
         back = {}
         for c in range(len(dec.components)):
-            back = v_sub(back, v_scale(dec.project(vec, c), -ONE))
+            back = v_add(back, dec.project(vec, c))
         assert v_eq(back, vec)
 
 
@@ -370,16 +439,3 @@ def test_weight_split_projection_equals_isotypic_projection(label, lam, mu):
 def test_weight_split_is_built_once_per_module_and_weight():
     t = tensor(make_irreducible(A2, (1, 0)), make_irreducible(A2, (1, 0)))
     assert weight_split(t, (0, 1)) is weight_split(t, [0, 1])
-
-
-# -- serialization ---------------------------------------------------------------------
-
-def test_module_json_shape():
-    m = make_irreducible(A1, (1,))
-    obj = m.to_json_obj()
-    assert obj["dim"] == 2
-    assert obj["weights"] == [[1], [-1]]
-    assert obj["cartan"]["type"] == "A1"
-    assert obj["E"]["1"] == [[0, 1, {"num": [[0, 1, 1, 1]], "den": [[0, 1, 1, 1]]}]]
-    rows = [r for r, c, x in obj["F"]["1"]]
-    assert rows == sorted(rows)
