@@ -15,7 +15,6 @@ construction self-certifying: every element is rechecked against all of them
 plus the residue-edge conditions before a GlobalBasis is returned.
 """
 
-import weakref
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -252,9 +251,7 @@ class CrystalGraph:
         self.frames = frames
         self.residues = list(residues) if residues is not None else None
         self.labels = list(labels) if labels is not None else None
-        # tensor_crystal pair crystals with this left factor, weakly keyed
-        # by the right factor so that each dies with either of its factors
-        self._pairs: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._derived: dict = {}
         self._eps = [tuple(self._walk(v, i, self.e_edges)
                            for i in range(cartan.n))
                      for v in range(self.size)]
@@ -842,20 +839,18 @@ def certify_signature_rule(cd: CartanDatum) -> None:
     _signature_certified.add(cd.A)
 
 
+@derived
 def tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> CrystalGraph:
     """Combinatorial crystal of a tensor product, via the signature rule
     (certified for the Cartan matrix by certify_signature_rule first).
 
     Pair (a, b) is vertex a * bw.size + b.  Every highest vertex has a
     highest left factor, or this raises.  Built once per factor pair and
-    kept on the left factor.
+    kept on the left factor, keyed by the right one.
     """
     if bv.cartan.A != bw.cartan.A:
         raise ModuleConstructionError("tensor crystal wants one Cartan datum")
     certify_signature_rule(bv.cartan)
-    hit = bv._pairs.get(bw)
-    if hit is not None:
-        return hit
     graph = _pair_crystal(bv, bw)
     for h in graph.highest():
         a, _ = graph.labels[h]
@@ -863,7 +858,6 @@ def tensor_crystal(bv: CrystalGraph, bw: CrystalGraph) -> CrystalGraph:
             raise InternalConsistencyError(
                 f"highest pair vertex {graph.labels[h]} has a non-highest "
                 f"left factor")
-    bv._pairs[bw] = graph
     return graph
 
 

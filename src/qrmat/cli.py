@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .bases import (compute_global_basis, cross_validate_tensor_crystal,
                     crystal_graph, tensor_crystal)
 from .cartan import CartanDatum, make_cartan
-from .rmatrix import (BasedModule, CheckReport, based_irreducible,
+from .rmatrix import (FAULTS, BasedModule, CheckReport, based_irreducible,
                       based_tensor, check_gamma_lemma, check_hexagon,
                       check_lemma_identities, check_method_agreement,
                       check_scaling, check_ybe, r_matrix)
@@ -30,11 +30,6 @@ CARTAN_TYPES = ("A1", "A2", "B2", "G2")
 METHODS = ("theta", "krls", "oracle")
 SUITES = ("method-agreement", "hexagon", "ybe", "lemma-identities",
           "gamma-lemma", "scaling", "crystal-crossval", "module-relations")
-FAULTS_BY_SUITE = {
-    "method-agreement": ("theta-sign",),
-    "hexagon": ("scale-block",),
-    "ybe": ("scale-block", "wrong-flip"),
-}
 
 
 class CliError(Exception):
@@ -281,8 +276,7 @@ def cmd_verify(args) -> int:
         suites: Sequence[str] = SUITES
     else:
         suites = (args.suite,)
-        if fault is not None and fault not in FAULTS_BY_SUITE.get(
-                args.suite, ()):
+        if fault is not None and fault not in FAULTS.get(args.suite, ()):
             raise CliError(
                 f"fault {fault!r} is not supported for suite {args.suite!r}")
     if args.out:
@@ -395,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--triple", nargs=3, metavar="W",
                    help="three weights for one hexagon instance")
     p.add_argument("--inject-fault", dest="inject_fault",
-                   choices=("theta-sign", "scale-block", "wrong-flip"))
+                   choices=tuple(dict.fromkeys(sum(FAULTS.values(), ()))))
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("crystal", help="emit crystal graphs")

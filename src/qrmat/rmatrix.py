@@ -39,11 +39,12 @@ rescale by z reads its module's one global basis through its embedding,
 z times the identity, so no crystal or global basis is built twice; its
 Theta, embedding and tensor products are built once, like the based
 irreducible's.  Only the rebuild of check_scaling is fresh on every call.
-A based module owns the maps of every system transported on it
-(system_on, in its store, keyed by the system: Theta, Gamma, bar and the
-wrong-sign Theta of the negative control) and, weakly keyed by the right
-factor so that each dies with either factor, its based tensor products;
-a based tensor product owns its braiding.  The module under a based
+A based module owns, in its store, the maps of every system transported
+on it (system_on, keyed by the system: Theta, Gamma, bar and the
+wrong-sign Theta of the negative control) and, keyed by the right
+factor, its based tensor products and braidings (based_tensor,
+braiding); the rebuild pair of check_scaling is tensored only with
+itself, so its products die with it.  The module under a based
 module owns the sides of each system's compatibility squares
 (sysmorph.generator_sides), so the based modules that check_scaling
 rebuilds on one module transport against sides built once.
@@ -52,7 +53,6 @@ drops are freed.
 """
 
 import json
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bases import GlobalBasis, compute_global_basis, crystal_graph, tensor_crystal
@@ -127,11 +127,6 @@ class BasedModule:
         self.module = module
         self.components = components
         self._derived: dict = {}
-        # based tensor products with this left factor, weakly keyed by the
-        # right factor so that each dies with either of its factors
-        self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        # sigma_{V,W} when this is the based tensor product of V and W
-        self._braiding: Optional[SparseMatrix] = None
 
     @property
     def cartan(self) -> CartanDatum:
@@ -156,6 +151,7 @@ def based_irreducible(m: Module) -> BasedModule:
     return _based_at(m, m.hw_vector())
 
 
+@derived
 def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
     """The canonical based structure on the tensor product.
 
@@ -166,11 +162,8 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
     projection, a highest weight vector in the class the crystal
     predicts.  The crystal's multiplicities must equal dim (ker E)_nu at
     every dominant weight.  Built once per factor pair and kept on the
-    left factor.
+    left factor, keyed by the right one.
     """
-    hit = bl._tensors.get(br)
-    if hit is not None:
-        return hit
     big = tensor(bl.module, br.module)
     comps: List[BasedComponent] = []
     for lcomp in bl.components:
@@ -201,9 +194,7 @@ def based_tensor(bl: BasedModule, br: BasedModule) -> BasedModule:
         raise InternalConsistencyError(
             f"crystal predicts multiplicities {counts} but the highest "
             f"weight vectors give {hw_counts}")
-    out = BasedModule(big, comps)
-    bl._tensors[br] = out
-    return out
+    return BasedModule(big, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -450,21 +441,18 @@ def r_matrix(bl: BasedModule, br: BasedModule,
 # The braiding
 # ---------------------------------------------------------------------------
 
+@derived
 def braiding(bl: BasedModule, br: BasedModule) -> SparseMatrix:
     """sigma_{V,W} = Flip o r_theta: V (x) W -> W (x) V, verified as an
-    intertwiner and kept on the based tensor product."""
-    bt = based_tensor(bl, br)
-    if bt._braiding is None:
-        sigma = (flip_matrix(bl.module.dim, br.module.dim)
-                 @ r_theta(bl, br).matrix)
-        fails = _intertwiner_failures(sigma, bt.module,
-                                      tensor(br.module, bl.module))
-        if fails:
-            raise InternalConsistencyError(
-                "braiding does not intertwine the actions: "
-                + json.dumps(fails[0]))
-        bt._braiding = sigma
-    return bt._braiding
+    intertwiner and kept on the left factor, keyed by the right one."""
+    sigma = flip_matrix(bl.module.dim, br.module.dim) @ r_theta(bl, br).matrix
+    fails = _intertwiner_failures(sigma, tensor(bl.module, br.module),
+                                  tensor(br.module, bl.module))
+    if fails:
+        raise InternalConsistencyError(
+            "braiding does not intertwine the actions: "
+            + json.dumps(fails[0]))
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +503,17 @@ def _rescaled_factor(m: Module, z: FieldElement) -> BasedModule:
     return _based_at(m, v_scale(m.hw_vector(), z))
 
 
-def _fault(fault: Optional[str], *supported: str) -> Optional[str]:
-    """fault, once it is None or one of the faults a check supports."""
-    if fault is not None and fault not in supported:
+# the faults each check can inject, keyed by its report (and suite) name
+FAULTS: Dict[str, Tuple[str, ...]] = {
+    "method-agreement": ("theta-sign",),
+    "hexagon": ("scale-block",),
+    "ybe": ("scale-block", "wrong-flip"),
+}
+
+
+def _fault(fault: Optional[str], check: str) -> Optional[str]:
+    """fault, once it is None or one of the faults FAULTS lists for check."""
+    if fault is not None and fault not in FAULTS[check]:
         raise ValueError(f"unknown fault {fault!r}")
     return fault
 
@@ -530,7 +526,7 @@ def check_method_agreement(bl: BasedModule, br: BasedModule,
     fault="theta-sign" builds r_theta from the wrong-sign Theta; the
     report must then carry a counterexample.
     """
-    rt = r_theta(bl, br, wrong_sign=bool(_fault(fault, "theta-sign")))
+    rt = r_theta(bl, br, wrong_sign=bool(_fault(fault, "method-agreement")))
     rk = r_krls(bl, br)
     ro = r_oracle(bl, br)
     ces: List[dict] = []
@@ -599,7 +595,7 @@ def check_hexagon(bu: BasedModule, bv: BasedModule, bw: BasedModule,
     """
     du, dv, dw = bu.module.dim, bv.module.dim, bw.module.dim
     s_vw = braiding(bv, bw)
-    if _fault(fault, "scale-block"):
+    if _fault(fault, "hexagon"):
         s_vw = scale_isotypic_block(s_vw, based_tensor(bv, bw), 0,
                                     FieldElement.q_power(1))
     s_uw = braiding(bu, bw)
@@ -631,7 +627,7 @@ def check_ybe(bv: BasedModule, fault: Optional[str] = None) -> CheckReport:
     isotypic block of sigma by q; that stays a module map but breaks the
     braid relation.
     """
-    fault = _fault(fault, "wrong-flip", "scale-block")
+    fault = _fault(fault, "ybe")
     d = bv.module.dim
     bt = based_tensor(bv, bv)
     if fault == "wrong-flip":
@@ -751,8 +747,8 @@ def check_normalization(bl: BasedModule, br: BasedModule) -> CheckReport:
                 ces.append({"check": "normalization row",
                             "vertex": vertex,
                             "lhs": _vec_json(got), "rhs": _vec_json(want)})
-                if len(ces) >= 3:
-                    break
+                if len(ces) == 3:
+                    return CheckReport("normalization", ces)
     return CheckReport("normalization", ces)
 
 

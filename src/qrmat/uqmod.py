@@ -20,10 +20,11 @@ factor keeps, on linalg's tensor basis (ordered pairs, left factor major).
 
 What a module or a datum derives (K_i powers, divided powers, weight
 splits, tensor products, V_lambda; in bases and sysmorph its strings,
-crystal operators, crystal graph, global basis, braid operators and T_w0;
-in rmatrix its based irreducible, and a based summand's V_nu, global
-basis and embedding) is kept on it by one decorator, derived, in the one
-store its class declares.
+crystal operators, crystal graph, global basis, braid operators and T_w0,
+and a crystal's pair crystals; in rmatrix its based irreducible, a based
+summand's V_nu, global basis and embedding, and a based module's
+transported systems, based tensor products and braidings) is kept on it
+by one decorator, derived, in the one store its class declares.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ no module keys anything by object identity or holds an assert statement,
 which python -O would strip from its self-checks; and no module reaches
 a private attribute of a class defined in another module, so each layer
 keeps what it builds in the one store its owner declares, _derived, which
-nothing but the decorator uqmod.derived reads or writes; every cache
-written by hand instead is listed below with its reason.  A
+nothing but the decorator uqmod.derived reads or writes, and no
+get-or-build is written by hand instead.  A
 method is called only when it is reached as an attribute; a function also
 when its bare name is read.  The isotypic decomposition is the oracle the
 tests check based_tensor against, so no package module but uqmod, which
@@ -78,16 +78,6 @@ PROCESS_STATE = {
                                   "certified; one entry per matrix",
     "cli._cartans": "one Cartan datum per type label; it owns the modules "
                     "built on it",
-}
-
-# get-or-build caches written by hand instead of through uqmod.derived
-HAND_CACHES = {
-    "BasedModule._tensors": "based tensor products weakly keyed by the "
-                            "right factor, so each dies with either factor",
-    "CrystalGraph._pairs": "pair crystals weakly keyed by the right factor, "
-                           "so each dies with either factor",
-    "BasedModule._braiding": "the braiding of a based tensor product, set "
-                             "by rmatrix.braiding, which takes both factors",
 }
 
 
@@ -471,13 +461,9 @@ def _hand_caches():
     return {f"{owner.get(attr, '?')}.{attr}" for attr in found}
 
 
-def test_every_hand_written_cache_is_listed():
-    assert sorted(_hand_caches() - set(HAND_CACHES)) == []
-
-
-def test_hand_cache_list_names_only_hand_written_caches():
-    # a listed cache that moves into uqmod.derived leaves the list
-    assert set(HAND_CACHES) <= _hand_caches()
+def test_no_cache_is_written_by_hand():
+    # every get-or-build goes through uqmod.derived
+    assert _hand_caches() == set()
 
 
 IMAGE_FNS = {"e_image", "f_image", "k_image"}

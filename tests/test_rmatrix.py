@@ -149,23 +149,25 @@ def test_based_tensor_is_cached_per_factor_pair():
     assert based_tensor(bl, br) is based_tensor(bl, br)
 
 
-def test_based_tensor_and_braiding_die_with_a_factor():
-    bl = based_of("A1", (1,))
-    br = rmatrix._based_at(bl.module, bl.module.hw_vector())
+def test_based_tensor_and_braiding_die_with_their_factors():
+    # check_scaling's rebuild pair: two fresh factors on one module, which
+    # are tensored only with each other
+    m = make_irreducible(A1, (1,))
+    bl = rmatrix._based_at(m, m.hw_vector())
+    br = rmatrix._based_at(m, m.hw_vector())
     bt = weakref.ref(based_tensor(bl, br))
-
-    def kept_matrices():
-        return [v for v in vars(bt()).values() if isinstance(v, SparseMatrix)]
-    # the braiding is built on first use and kept on the based tensor
-    # product, so it dies with it
-    assert kept_matrices() == []
     sigma = braiding(bl, br)
-    assert bt() is based_tensor(bl, br)
     assert braiding(bl, br) is sigma
-    assert len(kept_matrices()) == 1 and kept_matrices()[0] is sigma
-    del sigma, br
-    gc.collect()
-    assert bt() is None
+    assert based_tensor(bl, br) is bt()
+    del sigma
+    gc.disable()
+    try:
+        # both are kept on the left factor, keyed by the right one, so
+        # reference counting alone frees them with the pair
+        del bl, br
+        assert bt() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("label,lam,mu", [
@@ -291,6 +293,16 @@ def test_r_scales_hw_tensor_basis_rows(label, lam, mu):
     bl, br = based_of(label, lam), based_of(label, mu)
     rep = check_normalization(bl, br)
     assert rep.passed, rep.counterexamples
+
+
+def test_normalization_reports_at_most_three_counterexamples(monkeypatch):
+    v2 = based_of("A1", (2,))
+    br = based_tensor(v2, v2)  # V(4) + V(2) + V(0)
+    monkeypatch.setattr(rmatrix, "r_theta", lambda bl, br: RMatrixResult(
+        SparseMatrix.identity(bl.module.dim * br.module.dim).scale(qp(7)),
+        "theta", bl, br))
+    # every row fails, in each of the three summands of the right factor
+    assert len(check_normalization(v2, br).counterexamples) == 3
 
 
 def test_normalization_wants_irreducible_left_factor():

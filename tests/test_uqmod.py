@@ -14,12 +14,12 @@ import pytest
 
 from qrmat import cli, uqmod
 from qrmat.bases import (compute_global_basis, crystal_graph,
-                         kashiwara_operators, string_chains)
+                         kashiwara_operators, string_chains, tensor_crystal)
 from qrmat.cartan import make_cartan
 from qrmat.linalg import (SparseMatrix, kron_matrix, v_add, v_eq, v_is_zero,
                           v_scale)
 from qrmat.qscalar import ONE, ZERO, FieldElement, Q, q_int
-from qrmat.rmatrix import based_irreducible, based_tensor
+from qrmat.rmatrix import based_irreducible, based_tensor, braiding
 from qrmat.sysmorph import braid_operator, make_Tw0
 from qrmat.uqmod import (
     InternalConsistencyError,
@@ -164,8 +164,9 @@ def v10(cd):
 
 
 # every kind of object a datum or a module derives and keeps, built from a
-# datum; a map keeps its inverse, a lattice frame its inverse and a based
-# summand its embedding
+# datum; a map keeps its inverse, a lattice frame its inverse, a based
+# summand its embedding, a based module its based tensor products and
+# braidings, and a crystal its pair crystals
 DERIVED = {
     "irreducible": v10,
     "k_i": lambda cd: v10(cd).k_i(0, -1),
@@ -185,6 +186,12 @@ DERIVED = {
     "summand_embedding": lambda cd: based_tensor(
         based_irreducible(v10(cd)),
         based_irreducible(v10(cd))).components[-1].embed,
+    "based_tensor": lambda cd: based_tensor(based_irreducible(v10(cd)),
+                                            based_irreducible(v10(cd))),
+    "braiding": lambda cd: braiding(based_irreducible(v10(cd)),
+                                    based_irreducible(v10(cd))),
+    "tensor_crystal": lambda cd: tensor_crystal(crystal_graph(v10(cd)),
+                                                crystal_graph(v10(cd))),
 }
 
 
