@@ -1,6 +1,10 @@
 """Command line front end: compute R-matrices, run verification suites,
 export crystal graphs and canonical bases, and manage golden files.
 
+Each verification suite is one entry of SUITES: the weight tuples it
+enumerates from the flags, and the check it runs on the based
+irreducibles of each tuple.
+
 Exit codes: 0 success, 1 failing check or golden mismatch, 2 usage or
 configuration error, an output path that cannot be written included, 3
 internal consistency error (message verbatim on stderr).  All emitted
@@ -28,8 +32,6 @@ WeightT = Tuple[int, ...]
 
 CARTAN_TYPES = ("A1", "A2", "B2", "G2")
 METHODS = ("theta", "krls", "oracle")
-SUITES = ("method-agreement", "hexagon", "ybe", "lemma-identities",
-          "gamma-lemma", "scaling", "crystal-crossval", "module-relations")
 
 
 class CliError(Exception):
@@ -144,62 +146,55 @@ def cmd_compute(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _pair_list(args, cd: CartanDatum) -> List[Tuple[WeightT, WeightT]]:
-    if args.hw:
-        if len(args.hw) == 1:
-            w = _parse_weight(args.hw[0], cd)
-            return [(w, w)]
-        if len(args.hw) == 2:
-            return [(_parse_weight(args.hw[0], cd),
-                     _parse_weight(args.hw[1], cd))]
+def _pairs(args, cd: CartanDatum) -> List[Tuple[WeightT, ...]]:
+    if len(args.hw) > 2:
         raise CliError("at most two --hw weights make a pair")
+    if args.hw:
+        weights = [_parse_weight(t, cd) for t in args.hw]
+        return [(weights[0], weights[-1])]
     weights = _dominant_weights(cd, args.max_hw)
     return [(a, b) for a in weights for b in weights]
 
 
-def _module_list(args, cd: CartanDatum) -> List[WeightT]:
-    if args.hw:
-        return [_parse_weight(t, cd) for t in args.hw]
-    return _dominant_weights(cd, args.max_hw)
+def _modules(args, cd: CartanDatum) -> List[Tuple[WeightT, ...]]:
+    weights = ([_parse_weight(t, cd) for t in args.hw] if args.hw
+               else _dominant_weights(cd, args.max_hw))
+    return [(w,) for w in weights]
 
 
-def _hexagon_triples(args, cd: CartanDatum
-                     ) -> List[Tuple[WeightT, WeightT, WeightT]]:
+def _hexagon_triples(args, cd: CartanDatum) -> List[Tuple[WeightT, ...]]:
     if args.triple:
-        u, v, w = (_parse_weight(t, cd) for t in args.triple)
-        return [(u, v, w)]
+        return [tuple(_parse_weight(t, cd) for t in args.triple)]
     # factors follow the acceptance sets: fundamental weights, and for
     # rank one additionally 2*omega (capped by --max-hw)
-    cap = min(args.max_hw, 2 if cd.n == 1 else 1)
-    factors = _dominant_weights(cd, max(cap, 1))
+    factors = _dominant_weights(cd, min(args.max_hw, 2 if cd.n == 1 else 1))
     return [(u, v, w) for u in factors for v in factors for w in factors]
 
 
-def _ybe_modules(args, cd: CartanDatum) -> List[WeightT]:
+# the modules `--suite ybe` checks when --hw is not given
+YBE_MODULES: Dict[str, Tuple[WeightT, ...]] = {
+    "A1": ((1,), (2,)), "A2": ((1, 0),), "B2": ((0, 1),), "G2": ((1, 0),)}
+
+
+def _ybe_modules(args, cd: CartanDatum) -> List[Tuple[WeightT, ...]]:
     if args.hw:
-        return [_parse_weight(t, cd) for t in args.hw]
-    defaults = {
-        "A1": [(1,), (2,)],
-        "A2": [(1, 0)],
-        "B2": [(0, 1)],
-        "G2": [(1, 0)],
-    }
-    return defaults[args.type]
+        return _modules(args, cd)
+    return [(w,) for w in YBE_MODULES[args.type]]
 
 
-def _crossval_report(label: str, lam: WeightT, mu: WeightT) -> CheckReport:
+def _crossval_report(bl: BasedModule, br: BasedModule) -> CheckReport:
     ces: List[dict] = []
     try:
-        cross_validate_tensor_crystal(crystal_graph(_module_of(label, lam)),
-                                      crystal_graph(_module_of(label, mu)))
-        based_tensor(_based_of(label, lam), _based_of(label, mu))
+        cross_validate_tensor_crystal(crystal_graph(bl.module),
+                                      crystal_graph(br.module))
+        based_tensor(bl, br)
     except InternalConsistencyError as exc:
         ces.append({"check": "crystal cross-validation", "detail": str(exc)})
     return CheckReport("crystal-crossval", ces)
 
 
-def _module_relations_report(label: str, hw: WeightT) -> CheckReport:
-    m = _module_of(label, hw)
+def _module_relations_report(bm: BasedModule) -> CheckReport:
+    m = bm.module
     ces: List[dict] = []
     try:
         verify_module(m)
@@ -215,53 +210,34 @@ def _module_relations_report(label: str, hw: WeightT) -> CheckReport:
     return CheckReport("module-relations", ces)
 
 
+# suite -> (instances, check), in `--suite all` order: instances(args, cd)
+# lists the weight tuples to check, and check takes the based irreducibles
+# of one tuple, plus the fault when FAULTS lists the suite.  Each check is
+# looked up by its module-level name when it runs, so a wrapped or patched
+# binding is the one called.
+SUITES = {
+    "method-agreement": (_pairs, lambda *a: check_method_agreement(*a)),
+    "hexagon": (_hexagon_triples, lambda *a: check_hexagon(*a)),
+    "ybe": (_ybe_modules, lambda *a: check_ybe(*a)),
+    "lemma-identities": (_modules, lambda *a: check_lemma_identities(*a)),
+    "gamma-lemma": (_pairs, lambda *a: check_gamma_lemma(*a)),
+    "scaling": (_pairs, lambda *a: check_scaling(*a)),
+    "crystal-crossval": (_pairs, lambda *a: _crossval_report(*a)),
+    "module-relations": (_modules, lambda *a: _module_relations_report(*a)),
+}
+
+
 def _run_suite(suite: str, args, cd: CartanDatum, fault: Optional[str]
                ) -> List[Tuple[str, CheckReport]]:
-    rows: List[Tuple[str, CheckReport]] = []
-    if suite == "method-agreement":
-        for lam, mu in _pair_list(args, cd):
-            rep = check_method_agreement(
-                _based_of(args.type, lam), _based_of(args.type, mu), fault)
-            rows.append((f"{_wtext(lam)}x{_wtext(mu)}", rep))
-    elif suite == "hexagon":
-        for u, v, w in _hexagon_triples(args, cd):
-            rep = check_hexagon(
-                _based_of(args.type, u), _based_of(args.type, v),
-                _based_of(args.type, w), fault)
-            rows.append((f"{_wtext(u)}x{_wtext(v)}x{_wtext(w)}", rep))
-    elif suite == "ybe":
-        for hw in _ybe_modules(args, cd):
-            rep = check_ybe(_based_of(args.type, hw), fault)
-            rows.append((_wtext(hw), rep))
-    elif suite == "lemma-identities":
-        for hw in _module_list(args, cd):
-            rows.append((_wtext(hw),
-                         check_lemma_identities(_based_of(args.type, hw))))
-    elif suite == "gamma-lemma":
-        for lam, mu in _pair_list(args, cd):
-            rep = check_gamma_lemma(_based_of(args.type, lam),
-                                    _based_of(args.type, mu))
-            rows.append((f"{_wtext(lam)}x{_wtext(mu)}", rep))
-    elif suite == "scaling":
-        for lam, mu in _pair_list(args, cd):
-            rep = check_scaling(_based_of(args.type, lam),
-                                _based_of(args.type, mu))
-            rows.append((f"{_wtext(lam)}x{_wtext(mu)}", rep))
-    elif suite == "crystal-crossval":
-        for lam, mu in _pair_list(args, cd):
-            rows.append((f"{_wtext(lam)}x{_wtext(mu)}",
-                         _crossval_report(args.type, lam, mu)))
-    elif suite == "module-relations":
-        for hw in _module_list(args, cd):
-            rows.append((_wtext(hw),
-                         _module_relations_report(args.type, hw)))
-    else:
-        raise CliError(f"unknown suite {suite!r}")
-    return rows
+    instances, check = SUITES[suite]
+    extra = (fault,) if suite in FAULTS else ()
+    return [("x".join(_wtext(w) for w in wts),
+             check(*(_based_of(args.type, w) for w in wts), *extra))
+            for wts in instances(args, cd)]
 
 
 def cmd_verify(args) -> int:
-    if args.max_hw < 1:
+    if args.max_hw is not None and args.max_hw < 1:
         raise CliError(f"--max-hw must be at least 1, got {args.max_hw}")
     cd = _cartan_of(args.type)
     if args.suite == "hexagon" and args.hw:
@@ -269,11 +245,21 @@ def cmd_verify(args) -> int:
     if args.triple and args.suite not in ("hexagon", "all"):
         raise CliError(f"--triple is read only by --suite hexagon, not "
                        f"{args.suite!r}")
+    # a suite enumerates weights up to --max-hw only when no weight is
+    # given; ybe has fixed defaults, and hexagon's rank >= 2 factors are
+    # the fundamental weights whatever the bound
+    if args.max_hw is not None and args.suite != "all" and (
+            args.hw or args.suite == "ybe"
+            or (args.suite == "hexagon" and (args.triple or cd.n > 1))):
+        raise CliError(f"--suite {args.suite} does not read --max-hw here: "
+                       f"its weights on {args.type} are given or fixed")
+    if args.max_hw is None:
+        args.max_hw = 1
     fault = args.inject_fault
     if args.suite == "all":
         if fault is not None:
             raise CliError("--inject-fault wants a specific --suite")
-        suites: Sequence[str] = SUITES
+        suites: Sequence[str] = tuple(SUITES)
     else:
         suites = (args.suite,)
         if fault is not None and fault not in FAULTS.get(args.suite, ()):
@@ -382,8 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     common(p, golden=False)
-    p.add_argument("--suite", default="all", choices=SUITES + ("all",))
-    p.add_argument("--max-hw", type=int, default=1, dest="max_hw",
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
+    p.add_argument("--max-hw", type=int, dest="max_hw",
                    help="enumerate dominant weights with coordinate sum up "
                         "to this bound when --hw is not given")
     p.add_argument("--triple", nargs=3, metavar="W",

@@ -259,13 +259,21 @@ def test_verify_has_no_golden_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("--suite", "hexagon", "--hw", "3"), "--hw"),
-    (("--suite", "ybe", "--triple", "1", "1", "1"), "--triple"),
-    (("--suite", "method-agreement", "--triple", "1", "1", "1"), "--triple"),
+    (("--type", "A1", "--suite", "hexagon", "--hw", "3"), "--hw"),
+    (("--type", "A1", "--suite", "ybe", "--triple", "1", "1", "1"),
+     "--triple"),
+    (("--type", "A1", "--suite", "method-agreement", "--triple", "1", "1",
+      "1"), "--triple"),
+    (("--type", "A1", "--suite", "ybe", "--max-hw", "3"), "--max-hw"),
+    (("--type", "A1", "--suite", "method-agreement", "--hw", "1",
+      "--max-hw", "5"), "--max-hw"),
+    (("--type", "A2", "--suite", "hexagon", "--max-hw", "4"), "--max-hw"),
+    (("--type", "A1", "--suite", "hexagon", "--triple", "1", "1", "1",
+      "--max-hw", "2"), "--max-hw"),
 ])
 def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, argv, flag):
-    # each used to run the suite's default weights and exit 0
-    code, stdout, stderr = run(capsys, "verify", "--type", "A1", *argv)
+    # each used to run the suite's default or given weights and exit 0
+    code, stdout, stderr = run(capsys, "verify", *argv)
     assert code == 2 and stdout == ""
     assert flag in stderr
 
@@ -284,13 +292,61 @@ def test_every_benchmark_verify_request_passes_the_flag_checks(
         assert run(capsys, *argv) == (0, "", ""), argv
 
 
+VERIFY_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                             "verify_outputs.txt")
+VERIFY_GOLDEN_ARGVS = [
+    ("--suite", "all", "--type", "A1", "--max-hw", "2"),
+    ("--suite", "all", "--type", "A2"),
+    ("--suite", "method-agreement", "--type", "A1",
+     "--inject-fault", "theta-sign"),
+    ("--suite", "hexagon", "--type", "A1", "--inject-fault", "scale-block"),
+    ("--suite", "ybe", "--type", "A1", "--inject-fault", "scale-block"),
+    ("--suite", "ybe", "--type", "A1", "--inject-fault", "wrong-flip"),
+]
+
+
+def verify_golden_payload() -> str:
+    """Exit code and stdout of each VERIFY_GOLDEN_ARGVS request."""
+    parts = []
+    for argv in VERIFY_GOLDEN_ARGVS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["verify", *argv])
+        parts.append(f"$ qrmat verify {' '.join(argv)}\n{buf.getvalue()}"
+                     f"exit {code}\n")
+    return "".join(parts)
+
+
+def test_verify_output_matches_golden_bytes():
+    with open(VERIFY_GOLDEN) as f:
+        assert verify_golden_payload() == f.read()
+
+
+SUITE_CHECKS = {
+    "method-agreement": "check_method_agreement",
+    "hexagon": "check_hexagon",
+    "ybe": "check_ybe",
+    "lemma-identities": "check_lemma_identities",
+    "gamma-lemma": "check_gamma_lemma",
+    "scaling": "check_scaling",
+    "crystal-crossval": "_crossval_report",
+    "module-relations": "_module_relations_report",
+}
+
+
+def test_suite_table_names_every_suite_and_faulted_check():
+    assert list(cli.SUITES) == list(SUITE_CHECKS)
+    assert set(rmatrix.FAULTS) <= set(cli.SUITES)
+
+
+@pytest.mark.parametrize("suite", list(SUITE_CHECKS))
 def test_verify_internal_error_exits_3_with_verbatim_message(
-        capsys, monkeypatch):
+        capsys, monkeypatch, suite):
+    # each suite must reach its check through the check's cli name
     def boom(*a, **k):
         raise InternalConsistencyError("boom: conventions bug")
-    monkeypatch.setattr(cli, "check_ybe", boom)
-    code, _, stderr = run(capsys, "verify", "--suite", "ybe", "--type", "A1",
-                          "--hw", "1")
+    monkeypatch.setattr(cli, SUITE_CHECKS[suite], boom)
+    code, _, stderr = run(capsys, "verify", "--suite", suite, "--type", "A1")
     assert code == 3
     assert stderr == "boom: conventions bug\n"
 
