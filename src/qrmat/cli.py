@@ -162,12 +162,17 @@ def _modules(args, cd: CartanDatum) -> List[Tuple[WeightT, ...]]:
     return [(w,) for w in weights]
 
 
+# the largest --max-hw that --suite hexagon enumerates, on rank one
+HEXAGON_MAX_HW = 2
+
+
 def _hexagon_triples(args, cd: CartanDatum) -> List[Tuple[WeightT, ...]]:
     if args.triple:
         return [tuple(_parse_weight(t, cd) for t in args.triple)]
     # factors follow the acceptance sets: fundamental weights, and for
     # rank one additionally 2*omega (capped by --max-hw)
-    factors = _dominant_weights(cd, min(args.max_hw, 2 if cd.n == 1 else 1))
+    factors = _dominant_weights(
+        cd, min(args.max_hw, HEXAGON_MAX_HW if cd.n == 1 else 1))
     return [(u, v, w) for u in factors for v in factors for w in factors]
 
 
@@ -253,6 +258,10 @@ def cmd_verify(args) -> int:
             or (args.suite == "hexagon" and (args.triple or cd.n > 1))):
         raise CliError(f"--suite {args.suite} does not read --max-hw here: "
                        f"its weights on {args.type} are given or fixed")
+    if (args.suite == "hexagon" and args.max_hw is not None
+            and args.max_hw > HEXAGON_MAX_HW):
+        raise CliError(f"--suite hexagon reads --max-hw up to its cap of "
+                       f"{HEXAGON_MAX_HW}, got {args.max_hw}")
     if args.max_hw is None:
         args.max_hw = 1
     fault = args.inject_fault

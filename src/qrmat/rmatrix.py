@@ -14,6 +14,8 @@ The three constructions:
             from the pins of each factor and of the tensor product;
   r_krls    weight prefactor q^((wt v, wt w)) times
             (T_w0^-1 (x) T_w0^-1) Delta(T_w0), all braid products, no pins;
+            the T_i of V (x) W come from the factors' T_i, so no string
+            of V (x) W is solved;
   r_oracle  the unique total-weight-preserving operator with diagonal
             q^((wt v, wt w)) and strictly-dominance-triangular off-diagonal
             part such that Flip o R intertwines the module actions.
@@ -326,7 +328,10 @@ def r_krls(bl: BasedModule, br: BasedModule) -> RMatrixResult:
 
     The quadratic Cartan prefactor acts on v (x) w as q^((wt v, wt w));
     every T_w0 is the calibrated braid product, so no global basis or pin
-    enters this construction.
+    enters this construction.  Delta(T_w0) is the braid product on the
+    tensor module, whose T_i are (T_i (x) T_i) Theta_i of the factors'
+    (sysmorph.braid_operator), so it builds no kernel or inverse of
+    V (x) W; it is still verified against C_{T_w0}.
     """
     big = tensor(bl.module, br.module)
     tl = make_Tw0(bl.module)

@@ -22,22 +22,32 @@ Bar-linear maps are stored as (matrix, flag) with the convention "apply
 coefficient-wise bar first, then the matrix"; composing two bar-linear maps
 therefore yields a q-linear map with matrix M1 bar(M2).
 
-Braid operators act on each i-string [u, F^(1)u, .., F^(m)u] by reversing it
-with signed q_i-power coefficients: one of Lusztig's four families, the one
-whose w0-product is compatible with C_{T_w0}.  That compatibility is
-certified on a probe module once per Cartan matrix before T_w0 is built.
+Braid operators are Lusztig's T''_{i,1} (Introduction to Quantum Groups,
+chapter 5): on z of weight mu with m = <H_i, mu>, the sum over
+a - b + c = -m of (-1)^b q_i^(b - ac) E_i^(a) F_i^(b) E_i^(c) z, the
+family with T_i E_i T_i^-1 = -F_i K_i, whose w0-product is compatible
+with C_{T_w0}.  On a tensor product V (x) W (uqmod.tensor) T_i is
+(T_i (x) T_i) Theta_i, from the factors' T_i and divided powers (the
+factors' action corrected by the rank-one quasi-R-matrix, written here
+for this package's coproduct), so no string of V (x) W is solved; on
+every other module T_i reverses each i-string [u, F^(1)u, .., F^(m)u]
+with signed q_i-power coefficients.  The tests compare the two rules,
+and the string rule with the sum above, exactly.  The action is
+certified on a probe module once per Cartan matrix before T_w0 is built,
+and every T_w0 is checked against C_{T_w0}.
 """
 
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from typing import (Any, Callable, Iterator, List, Optional, Sequence, Set,
                     Tuple, Union)
 
 from .bases import compute_global_basis, operator_from_strings
 from .cartan import CartanDatum
 from .linalg import (Echelon, SparseMatrix, Vec, diagonal_square_columns,
-                     inverse, v_bar, v_clean, v_eq, v_is_zero, v_scale)
-from .qscalar import FieldElement
+                     inverse, kron_matrix, v_bar, v_clean, v_eq, v_is_zero,
+                     v_scale)
+from .qscalar import ONE, FieldElement
 from .uqmod import (InternalConsistencyError, Module,
                     ModuleConstructionError, derived, make_irreducible)
 
@@ -446,15 +456,28 @@ def _braid_coefficient(d: int, mstr: int, n: int) -> FieldElement:
     return FieldElement.q_power(Fraction(d * (mstr - n) * (n + 1)), sign)
 
 
-@derived
-def braid_operator(m: Module, i: int) -> SparseMatrix:
-    """T_i: reverses every i-string with signed q_i-power coefficients.
+def _quasi_r(v: Module, w: Module, i: int) -> SparseMatrix:
+    """Theta_i = sum_n q_i^(n(n-1)/2) (q_i - q_i^-1)^n [n]_i! E_i^(n) (x)
+    F_i^(n) on V (x) W, the rank-one quasi-R-matrix (not the involution
+    Theta); the sum stops at the first n where the divided power of
+    either factor vanishes."""
+    d = v.cartan.d[i]
+    out = SparseMatrix.identity(v.dim * w.dim)
+    coeff = ONE
+    for n in count(1):
+        e_n, f_n = v.divided_power("E", i, n), w.divided_power("F", i, n)
+        if e_n.is_zero() or f_n.is_zero():
+            return out
+        # c_n = c_(n-1) q_i^(n-1) (q_i^n - q_i^-n)
+        coeff = coeff * (FieldElement.q_power(d * (2 * n - 1))
+                         - FieldElement.q_power(-d))
+        out = out.add(kron_matrix(e_n, f_n).scale(coeff))
 
-    On a string [u_0, .., u_mstr] of divided powers, u_n maps to
-    (-1)^(mstr-n) q_i^((mstr-n)(n+1)) u_(mstr-n), the family whose
-    w0-product is compatible with C_{T_w0}; calibrate_braid_variant
-    certifies it once per Cartan matrix, and make_Tw0 runs that first.
-    """
+
+def _string_reversal(m: Module, i: int) -> SparseMatrix:
+    """T_i on m by reversing every i-string: on a string [u_0, .., u_mstr]
+    of divided powers, u_n maps to (-1)^(mstr-n) q_i^((mstr-n)(n+1))
+    u_(mstr-n)."""
     d = m.cartan.d[i]
 
     def image(chain, n):
@@ -462,6 +485,22 @@ def braid_operator(m: Module, i: int) -> SparseMatrix:
         return v_scale(chain[mstr - n], _braid_coefficient(d, mstr, n))
 
     return operator_from_strings(m, i, image)
+
+
+@derived
+def braid_operator(m: Module, i: int) -> SparseMatrix:
+    """T_i: on a module built by uqmod.tensor (T_i (x) T_i) Theta_i, from
+    its two factors and recursively so for iterated tensors, which builds
+    no string of the tensor module; on any other module the string
+    reversal, the family whose w0-product is compatible with C_{T_w0}.
+    calibrate_braid_variant certifies it once per Cartan matrix, and
+    make_Tw0 runs that first.
+    """
+    if m.factors is None:
+        return _string_reversal(m, i)
+    v, w = m.factors
+    return kron_matrix(braid_operator(v, i),
+                       braid_operator(w, i)) @ _quasi_r(v, w, i)
 
 
 def _braid_order(cd: CartanDatum, i: int, j: int) -> int:
@@ -502,7 +541,10 @@ def calibrate_braid_variant(cd: CartanDatum) -> None:
     Raises InternalConsistencyError otherwise.  The square alone does not
     single the action out: on A1, A2, A3 and C3 the family with the other
     sign pattern and exponent sign passes it too, and only the
-    lowest-to-highest normalization tells them apart.
+    lowest-to-highest normalization tells them apart.  The probe is an
+    irreducible, so this certifies the string rule that every factor of a
+    tensor module uses; a tensor module inherits it through the tensor
+    rule, and its T_w0 is still checked against C_{T_w0} by _braid_product.
     """
     if cd.A in _braid_certified:
         return
@@ -524,11 +566,12 @@ def make_Tw0(m: Module) -> TransportedMap:
     """T_w0: q-linear, sends the lowest global basis element to the highest.
 
     Composes the T_i along the reduced word of w0 (intrinsic: works on any
-    integrable module, tensor products included; the certification checks
-    the lowest-to-highest property on a probe module) and verifies the
-    product against C_{T_w0}, once per module, which keeps the map.
-    transport(m, tw0_spec(), lows, highs) builds the same map from explicit
-    pins.
+    integrable module; on a tensor module each T_i comes from its factors,
+    so no string of the tensor module is solved) and verifies the product
+    against C_{T_w0}, once per module, which keeps the map.  The
+    certification checks the lowest-to-highest property on a probe
+    module.  transport(m, tw0_spec(), lows, highs) builds the same map
+    from explicit pins.
     """
     calibrate_braid_variant(m.cartan)
     return _braid_product(m)

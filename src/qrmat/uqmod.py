@@ -17,6 +17,8 @@ Tensor products use the coproduct
 
 built as written from linalg's Kronecker products and the K_i^(+-1) each
 factor keeps, on linalg's tensor basis (ordered pairs, left factor major).
+A tensor product refers to its two factors, from which sysmorph builds its
+braid operators.
 
 What a module or a datum derives (K_i powers, divided powers, weight
 splits, tensor products, V_lambda; in bases and sysmorph its strings,
@@ -96,7 +98,8 @@ class Module:
     def __init__(self, cartan: CartanDatum, weights: Sequence[WeightT],
                  E: Dict[int, SparseMatrix], F: Dict[int, SparseMatrix],
                  provenance: str, hw_index: Optional[int] = None,
-                 words: Optional[Sequence[Tuple[int, ...]]] = None):
+                 words: Optional[Sequence[Tuple[int, ...]]] = None,
+                 factors: Optional[Tuple[Module, Module]] = None):
         self.cartan = cartan
         self.weights = tuple(_as_int_weight(w) for w in weights)
         self.dim = len(self.weights)
@@ -105,6 +108,7 @@ class Module:
         self.provenance = provenance
         self.hw_index = hw_index
         self.words = tuple(words) if words is not None else None
+        self.factors = factors
         self._weight_spaces: Dict[WeightT, List[int]] = {}
         for idx, w in enumerate(self.weights):
             self._weight_spaces.setdefault(w, []).append(idx)
@@ -368,7 +372,10 @@ def _check_weight_grading(m: Module, mat: SparseMatrix, i: int, sign: int) -> No
 def tensor(m: Module, w: Module) -> Module:
     """V (x) W with the coproduct actions, on linalg's tensor basis.
 
-    Built once per factor pair and kept on the left factor.
+    Built once per factor pair and kept on the left factor, under a key
+    that holds w.  The result's factors are (m, w), which
+    sysmorph.braid_operator reads; the reference makes no object live
+    longer.
     """
     if m.cartan is not w.cartan:
         # allow equal-but-distinct data only if structurally identical
@@ -381,7 +388,8 @@ def tensor(m: Module, w: Module) -> Module:
          for i in range(m.cartan.n)}
     weights = [tuple(a + b for a, b in zip(x, y))
                for x in m.weights for y in w.weights]
-    return Module(m.cartan, weights, E, F, provenance="tensor")
+    return Module(m.cartan, weights, E, F, provenance="tensor",
+                  factors=(m, w))
 
 
 def highest_weight_vectors(m: Module, nu: Sequence[int]) -> List[Vec]:

@@ -270,12 +270,20 @@ def test_verify_has_no_golden_flag(tmp_path, capsys):
     (("--type", "A2", "--suite", "hexagon", "--max-hw", "4"), "--max-hw"),
     (("--type", "A1", "--suite", "hexagon", "--triple", "1", "1", "1",
       "--max-hw", "2"), "--max-hw"),
+    (("--type", "A1", "--suite", "hexagon", "--max-hw", "3"), "--max-hw"),
 ])
 def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, argv, flag):
     # each used to run the suite's default or given weights and exit 0
     code, stdout, stderr = run(capsys, "verify", *argv)
     assert code == 2 and stdout == ""
     assert flag in stderr
+
+
+def test_hexagon_refusal_names_its_cap(capsys):
+    # a larger bound used to print the triples of the cap and exit 0
+    code, _, stderr = run(capsys, "verify", "--suite", "hexagon",
+                          "--type", "A1", "--max-hw", "3")
+    assert code == 2 and f"cap of {cli.HEXAGON_MAX_HW}" in stderr
 
 
 def test_every_benchmark_verify_request_passes_the_flag_checks(

@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 import qrmat.sysmorph as sysmorph
-from qrmat.bases import compute_global_basis
+from qrmat.bases import compute_global_basis, string_chains
 from qrmat.cartan import make_cartan
-from qrmat.linalg import SparseMatrix, v_eq, v_scale
-from qrmat.qscalar import ONE, FieldElement
-from qrmat.rmatrix import based_irreducible, based_tensor, system_on
+from qrmat.linalg import SparseMatrix, inverse, kron_matrix, v_eq, v_scale
+from qrmat.qscalar import ONE, ZERO, FieldElement, q_factorial
+from qrmat.rmatrix import (based_irreducible, based_tensor, r_matrix,
+                           system_on)
 from qrmat.sysmorph import (MorphismSpec, TransportedMap, bar_spec,
                             braid_operator, braid_relations_hold,
                             calibrate_braid_variant, gamma_spec,
@@ -292,6 +293,125 @@ def test_tw0_braid_product_works_on_tensor_modules():
         target = tm.cartan.apply_w0(tm.weights[col])
         for r in tw0.matrix.column(col):
             assert tm.weights[r] == target
+
+
+TENSOR_PAIRS = [("A1", (1,), (1,)), ("A1", (2,), (2,)), ("A1", (1,), (3,)),
+                ("A2", (1, 0), (0, 1)), ("A2", (1, 1), (1, 1)),
+                ("B2", (1, 0), (0, 1)), ("B2", (0, 1), (1, 0)),
+                ("B2", (1, 0), (1, 0)), ("G2", (0, 1), (0, 1)),
+                ("G2", (1, 0), (0, 1))]
+TENSOR_TRIPLES = [("A1", (1,), (1,), (2,)),
+                  ("A2", (1, 0), (0, 1), (1, 0)),
+                  ("B2", (1, 0), (0, 1), (1, 0))]
+
+
+def _tensor_of(label, *hws):
+    cd = make_cartan(label)
+    out = make_irreducible(cd, hws[0])
+    for hw in hws[1:]:
+        out = tensor(out, make_irreducible(cd, hw))
+    return out
+
+
+@pytest.mark.parametrize("label,hws", [(p[0], p[1:]) for p in
+                                       TENSOR_PAIRS + TENSOR_TRIPLES])
+def test_tensor_braid_operator_equals_the_string_reversal(label, hws):
+    # the string rule of every other module is the oracle; (U (x) V) (x) W
+    # takes its T_i from U (x) V's, which are the tensor rule's too
+    tm = _tensor_of(label, *hws)
+    assert tm.factors is not None
+    for i in range(tm.cartan.n):
+        assert braid_operator(tm, i) == sysmorph._string_reversal(tm, i), i
+
+
+def lusztig_braid(m, i):
+    """Lusztig's T''_{i,1} written out: on z of weight mu with
+    mstr = <H_i, mu>, the sum over a - b + c = -mstr of
+    (-1)^b q_i^(b - ac) E_i^(a) F_i^(b) E_i^(c) z."""
+    d = m.cartan.d[i]
+    top = max(int(m.cartan.pairing(i, wt)) for wt in m.weights) + 1
+    cols = []
+    for z in range(m.dim):
+        mstr = int(m.cartan.pairing(i, m.weights[z]))
+        col = {}
+        for a in range(top):
+            for c in range(top):
+                b = a + c + mstr
+                if not 0 <= b < top:
+                    continue
+                v = m.divided_power("E", i, c).apply({z: ONE})
+                v = m.divided_power("F", i, b).apply(v)
+                v = m.divided_power("E", i, a).apply(v)
+                coeff = qp(d * (b - a * c), (-1) ** b)
+                for r, x in v.items():
+                    col[r] = col.get(r, ZERO) + x * coeff
+        cols.append({r: x for r, x in col.items() if x})
+    return SparseMatrix.from_columns(cols, m.dim)
+
+
+@pytest.mark.parametrize("label,hw", [("A1", (2,)), ("A2", (1, 1)),
+                                      ("B2", (1, 0)), ("B2", (0, 1)),
+                                      ("G2", (0, 1))])
+def test_braid_operator_is_lusztigs_explicit_formula(label, hw):
+    m = make_irreducible(make_cartan(label), hw)
+    for i in range(m.cartan.n):
+        t = braid_operator(m, i)
+        assert t == lusztig_braid(m, i), i
+        # the identity that names the family: T_i E_i T_i^-1 = -F_i K_i
+        assert t @ m.E[i] @ inverse(t) == -(m.F[i] @ m.k_i(i, 1)), i
+
+
+def _quasi_r_variant(exp_sign=1, sign=1, legs=("E", "F")):
+    """Theta_i with its exponent, sign or legs changed; the arguments
+    (1, 1, ("E", "F")) give the honest one."""
+    def quasi_r(v, w, i):
+        d = v.cartan.d[i]
+        out = SparseMatrix.identity(v.dim * w.dim)
+        for n in range(1, max(v.dim, w.dim)):
+            coeff = qp(Fraction(exp_sign * d * n * (n - 1), 2),
+                       sign ** n) * q_factorial(n, d)
+            for _ in range(n):
+                coeff = coeff * (qp(d) - qp(-d))
+            out = out.add(kron_matrix(v.divided_power(legs[0], i, n),
+                                      w.divided_power(legs[1], i, n))
+                          .scale(coeff))
+        return out
+    return quasi_r
+
+
+WRONG_QUASI_R = {"exponent": _quasi_r_variant(exp_sign=-1),
+                 "sign": _quasi_r_variant(sign=-1),
+                 "legs": _quasi_r_variant(legs=("F", "E"))}
+
+
+def test_quasi_r_is_its_closed_form():
+    for label, *hws in TENSOR_PAIRS[:6]:
+        tm = _tensor_of(label, *hws)
+        v, w = tm.factors
+        for i in range(tm.cartan.n):
+            assert sysmorph._quasi_r(v, w, i) == \
+                _quasi_r_variant()(v, w, i)
+
+
+@pytest.mark.parametrize("variant", sorted(WRONG_QUASI_R))
+@pytest.mark.parametrize("label,hws", [("A1", ((2,), (2,))),
+                                       ("A2", ((1, 1), (1, 1)))])
+def test_wrong_quasi_r_fails_the_tw0_certification(monkeypatch, label, hws,
+                                                   variant):
+    # a fresh datum, so its tensor module keeps no braid operator yet; the
+    # exponent variant differs only where an n >= 2 term survives
+    monkeypatch.setattr(sysmorph, "_quasi_r", WRONG_QUASI_R[variant])
+    with pytest.raises(InternalConsistencyError, match="braid-product T_w0"):
+        make_Tw0(_tensor_of(label, *hws))
+
+
+def test_krls_builds_no_strings_of_the_tensor_module():
+    bl = based_irreducible(make_irreducible(make_cartan("B2"), (1, 0)))
+    r_matrix(bl, bl, "krls")
+    tm = tensor(bl.module, bl.module)
+    builders = {key[0] for key in tm._derived}
+    assert sysmorph.braid_operator.__wrapped__ in builders
+    assert string_chains.__wrapped__ not in builders
 
 
 # -- transport mechanics -------------------------------------------------------
